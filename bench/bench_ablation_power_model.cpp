@@ -31,6 +31,9 @@ void printFigureData() {
   mp.n = 4;
   mp.m = 4;
   auto p = dr::kernels::motionEstimation(mp);
+  // The power model only enters the design stage: one curve stage serves
+  // the whole grid.
+  auto ex = dr::explorer::exploreSignal(p, p.findSignal("Old"));
 
   dr::support::DataSet ds("best design vs model parameters",
                           {"exponent", "offchip_ratio", "best_norm_power",
@@ -50,7 +53,7 @@ void printFigureData() {
 
       dr::explorer::ExploreOptions opts;
       opts.library = lib;
-      auto ex = dr::explorer::exploreSignal(p, p.findSignal("Old"), opts);
+      dr::explorer::designChains(p, ex, opts);
 
       double best = 1.0;
       double bestSize = 0.0;

@@ -26,6 +26,7 @@ void printFigureData() {
   }
   auto p = dr::kernels::susan(sp);
   auto ex = dr::explorer::exploreSignal(p, p.findSignal("image"));
+  dr::explorer::designChains(p, ex);
 
   std::printf("image reads C_tot = %lld, distinct pixels %lld, "
               "%zu mask-row accesses\n\n",

@@ -137,6 +137,7 @@ bool exploreOne(const dr::loopir::Program& p, int signal,
   if (collect) collect->push_back(ex);
   if (!journal.curveOut.empty() && !writeCurveCsv(ex, journal.curveOut))
     return false;
+  dr::explorer::designChains(p, ex, opts);
   if (fullReport) {
     std::printf("%s\n", dr::report::signalReport(p, ex).c_str());
     return true;

@@ -37,6 +37,7 @@ int runGlobalAssignment(int argc, char** argv) {
   std::vector<std::vector<dr::hierarchy::SignalOption>> options;
   for (const char* name : {"Old", "New"}) {
     auto ex = dr::explorer::exploreSignal(p, p.findSignal(name));
+    dr::explorer::designChains(p, ex);
     std::printf("signal %-4s: C_tot %9lld, %zu Pareto designs\n", name,
                 static_cast<long long>(ex.Ctot), ex.pareto.size());
     std::vector<dr::hierarchy::SignalOption> opts;

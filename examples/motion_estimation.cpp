@@ -59,6 +59,7 @@ int runMotionEstimation(int argc, char** argv) {
   dr::explorer::ExploreOptions opts;
   opts.runSimulation = runSim;
   auto ex = dr::explorer::exploreSignal(p, p.findSignal("Old"), opts);
+  dr::explorer::designChains(p, ex, opts);
 
   if (runSim) {
     std::printf("simulated reuse-factor curve (Belady, excerpt):\n");

@@ -47,6 +47,7 @@ int runQuickstart() {
   int img = program.findSignal("img");
   dr::explorer::SignalExploration ex =
       dr::explorer::exploreSignal(program, img);
+  dr::explorer::designChains(program, ex);
 
   std::printf("C_tot = %lld reads of %lld distinct elements\n\n",
               static_cast<long long>(ex.Ctot),

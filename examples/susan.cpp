@@ -45,6 +45,7 @@ int runSusan(int argc, char** argv) {
   dr::explorer::ExploreOptions opts;
   opts.runSimulation = runSim;
   auto ex = dr::explorer::exploreSignal(p, p.findSignal("image"), opts);
+  dr::explorer::designChains(p, ex, opts);
 
   std::printf("\ncombined analytic points (copy-candidates of all rows):\n");
   for (const auto& pt : ex.combinedPoints)

@@ -60,10 +60,28 @@ struct LevelKnee {
 
 /// Working-set knees of one access (or several merged accesses with
 /// identical index expressions — pass all their indices) of one nest.
-/// One walk of the iteration space; exact counting, no replacement model.
+/// Exact counting, no replacement model. At each level where every access
+/// has the same address coefficient on every outer loop, each window is a
+/// translate of the first, so only that window is counted (a bitmap over
+/// its address range): workingSetMax = |S_l|, misses = outer iterations *
+/// |S_l|. Levels failing that precondition fall back to the per-element
+/// walk of workingSetKneesByWalk.
 std::vector<LevelKnee> workingSetKnees(const loopir::Program& p,
                                        const dr::trace::AddressMap& map,
                                        int nestIdx,
                                        const std::vector<int>& accessIndices);
+
+/// The same knees from one walk of the iteration space, every window of
+/// every level held in a hash set — the reference oracle for
+/// workingSetKnees.
+std::vector<LevelKnee> workingSetKneesByWalk(
+    const loopir::Program& p, const dr::trace::AddressMap& map, int nestIdx,
+    const std::vector<int>& accessIndices);
+
+/// Distinct elements of `signal` read anywhere in `p`: the union of the
+/// level-0 windows of every nest reading it, counted without a trace.
+dr::support::i64 distinctReadElements(const loopir::Program& p,
+                                      const dr::trace::AddressMap& map,
+                                      int signal);
 
 }  // namespace dr::analytic

@@ -11,6 +11,7 @@
 ///
 ///   auto program = dr::frontend::compileKernelFile("kernel.krn");
 ///   auto result  = dr::explorer::exploreSignal(program, 0);
+///   dr::explorer::designChains(program, result);  // Pareto table
 ///   std::cout << dr::report::signalReport(program, result);
 ///
 /// Individual subsystem headers can be included directly for finer

@@ -352,8 +352,8 @@ std::vector<hierarchy::CandidatePoint> toCandidates(
 
 namespace {
 
-/// The full flow, optionally journaled. `hook` == nullptr is the plain
-/// exploreSignal path and must stay byte-identical to it.
+/// The curve stage (steps 1-4), optionally journaled. `hook` == nullptr is
+/// the plain exploreSignal path and must stay byte-identical to it.
 SignalExploration exploreSignalImpl(const Program& p, int signal,
                                     const ExploreOptions& opts,
                                     JournalHook* hook) {
@@ -603,20 +603,21 @@ SignalExploration exploreSignalImpl(const Program& p, int signal,
               cursor, period, simcore::Policy::Opt, &result.simulationStats,
               foldOpts);
           result.distinctElements = h.distinct();
+          // The degraded rungs count no exact footprint: an approximate
+          // fold extrapolates it, an unfinished stream never counted it.
+          // The level-0 windows count it without a trace — a single nest's
+          // level-0 knee, or the union over the nests reading the signal.
+          auto readFootprint = [&] {
+            if (result.kneesPerNest.size() == 1 &&
+                !result.kneesPerNest.front().empty())
+              return result.kneesPerNest.front().front().workingSetMax;
+            return analytic::distinctReadElements(pn, map, signal);
+          };
           if (!result.simulationStats.completed) {
             result.simulatedCurve = analyticFallbackCurve(result);
             result.curveFidelity = simcore::Fidelity::Analytic;
-            // The stream never ran, so no engine counted the footprint; the
-            // level-0 working-set knee is exact for affine nests and fills
-            // in.
-            if (result.distinctElements == 0) {
-              for (const auto& knees : result.kneesPerNest)
-                for (const analytic::LevelKnee& knee : knees)
-                  if (knee.level == 0)
-                    result.distinctElements =
-                        std::max(result.distinctElements, knee.workingSetMax);
-              result.simulationStats.distinct = result.distinctElements;
-            }
+            result.distinctElements = readFootprint();
+            result.simulationStats.distinct = result.distinctElements;
             // Ladder re-entry only for the missing points: a prior run's
             // committed exact points overlay the closed-form curve, each
             // keeping its exact tag. Nothing new is journaled on a
@@ -637,6 +638,9 @@ SignalExploration exploreSignalImpl(const Program& p, int signal,
                   static_cast<i64>(hook->priorExact.size());
             }
           } else {
+            if (result.simulationStats.fidelity ==
+                simcore::Fidelity::ApproxFold)
+              result.distinctElements = readFootprint();
             const std::vector<i64> sizes = plannedSizes();
             result.curveFidelity = result.simulationStats.fidelity;
             if (hook && hook->writer && !hook->hasMeta &&
@@ -666,89 +670,6 @@ SignalExploration exploreSignalImpl(const Program& p, int signal,
     }
   }
 
-  // 5. Chains: analytic candidates, plus working-set knee candidates when
-  // the signal lives in a single nest (the knee counts then correspond to
-  // one coherent copy per level).
-  i64 modeledCtot = 0;
-  for (const AccessAnalysis& a : result.accesses)
-    if (!a.points.empty()) modeledCtot += a.Ctot;
-  std::vector<hierarchy::CandidatePoint> candidates;
-  if (modeledCtot > 0)
-    candidates = toCandidates(result.combinedPoints, modeledCtot);
-  hierarchy::EnumerateOptions chainOpts = opts.chainOptions;
-  chainOpts.directBackgroundReads = result.Ctot - modeledCtot;
-
-  if (result.kneesPerNest.size() == 1 && modeledCtot == result.Ctot) {
-    for (const analytic::LevelKnee& knee : result.kneesPerNest.front()) {
-      if (knee.workingSetMax <= 0 || knee.misses <= 0) continue;
-      hierarchy::CandidatePoint c;
-      c.size = knee.workingSetMax;
-      c.writes = knee.misses;
-      c.copyReads = result.Ctot;
-      c.bypassReads = 0;
-      c.label = "WS L" + std::to_string(knee.level);
-      candidates.push_back(std::move(c));
-    }
-  }
-
-  // Closed-form multi-level footprint points (the analytical A_1..A_3
-  // knees): exact only for single-read-access signals, where the
-  // per-access totals are the signal totals.
-  if (result.accesses.size() == 1 && modeledCtot == result.Ctot &&
-      result.accesses.front().Ctot == result.Ctot) {
-    for (const analytic::MultiLevelPoint& pt :
-         result.accesses.front().multiLevel) {
-      if (!pt.exact || pt.misses >= pt.Ctot || pt.size <= 0) continue;
-      hierarchy::CandidatePoint c;
-      c.size = pt.size;
-      c.writes = pt.misses;
-      c.copyReads = result.Ctot;
-      c.bypassReads = 0;
-      c.label = "ML L" + std::to_string(pt.level);
-      candidates.push_back(std::move(c));
-    }
-  }
-
-  // Selected simulated-curve points (the paper's Fig. 4b combines "points
-  // on the data reuse factor curve"): subsample at roughly equal reuse
-  // ratios so the candidate count stays bounded. Only meaningful when the
-  // simulated counts cover the whole signal (they always do: the trace is
-  // the signal's full read stream).
-  if (opts.includeSimulatedCandidates && opts.runSimulation &&
-      result.curveFidelity != simcore::Fidelity::Analytic &&
-      chainOpts.directBackgroundReads == 0 &&
-      !result.simulatedCurve.points.empty()) {
-    double maxFr = result.simulatedCurve.maxReuseFactor();
-    double lastKept = 1.0;
-    std::vector<const simcore::ReusePoint*> picked;
-    for (const simcore::ReusePoint& pt : result.simulatedCurve.points) {
-      if (pt.writes <= 0 || pt.reuseFactor <= 1.0) continue;
-      bool saturated = pt.reuseFactor >= maxFr * (1.0 - 1e-9);
-      if (pt.reuseFactor >= lastKept * 1.4 || saturated) {
-        picked.push_back(&pt);
-        lastKept = pt.reuseFactor;
-        if (saturated) break;  // smallest saturating size is enough
-      }
-    }
-    while (static_cast<i64>(picked.size()) > opts.maxSimulatedCandidates)
-      picked.erase(picked.begin() + 1);  // keep the extremes
-    for (const simcore::ReusePoint* pt : picked) {
-      hierarchy::CandidatePoint c;
-      c.size = pt->size;
-      c.writes = pt->writes;
-      c.copyReads = result.Ctot;
-      c.bypassReads = 0;
-      c.label = "sim A=" + std::to_string(pt->size);
-      candidates.push_back(std::move(c));
-    }
-  }
-
-  if (chainOpts.directBackgroundReads < result.Ctot && !candidates.empty()) {
-    int bits = p.signals[static_cast<std::size_t>(signal)].elementBits;
-    result.chains = hierarchy::enumerateChains(result.Ctot, candidates,
-                                               opts.library, bits, chainOpts);
-    result.pareto = hierarchy::paretoChains(result.chains);
-  }
   return result;
 }
 
@@ -776,6 +697,93 @@ support::Status validateSignalRequest(const Program& p, int signal) {
 SignalExploration exploreSignal(const Program& p, int signal,
                                 const ExploreOptions& opts) {
   return exploreSignalImpl(p, signal, opts, nullptr);
+}
+
+void designChains(const Program& p, SignalExploration& ex,
+                  const ExploreOptions& opts) {
+  DR_REQUIRE(ex.signal >= 0 && ex.signal < static_cast<int>(p.signals.size()));
+  // Analytic candidates, plus working-set knee candidates when the signal
+  // lives in a single nest (the knee counts then correspond to one
+  // coherent copy per level).
+  i64 modeledCtot = 0;
+  for (const AccessAnalysis& a : ex.accesses)
+    if (!a.points.empty()) modeledCtot += a.Ctot;
+  std::vector<hierarchy::CandidatePoint> candidates;
+  if (modeledCtot > 0)
+    candidates = toCandidates(ex.combinedPoints, modeledCtot);
+  hierarchy::EnumerateOptions chainOpts = opts.chainOptions;
+  chainOpts.directBackgroundReads = ex.Ctot - modeledCtot;
+
+  if (ex.kneesPerNest.size() == 1 && modeledCtot == ex.Ctot) {
+    for (const analytic::LevelKnee& knee : ex.kneesPerNest.front()) {
+      if (knee.workingSetMax <= 0 || knee.misses <= 0) continue;
+      hierarchy::CandidatePoint c;
+      c.size = knee.workingSetMax;
+      c.writes = knee.misses;
+      c.copyReads = ex.Ctot;
+      c.bypassReads = 0;
+      c.label = "WS L" + std::to_string(knee.level);
+      candidates.push_back(std::move(c));
+    }
+  }
+
+  // Closed-form multi-level footprint points (the analytical A_1..A_3
+  // knees): exact only for single-read-access signals, where the
+  // per-access totals are the signal totals.
+  if (ex.accesses.size() == 1 && modeledCtot == ex.Ctot &&
+      ex.accesses.front().Ctot == ex.Ctot) {
+    for (const analytic::MultiLevelPoint& pt : ex.accesses.front().multiLevel) {
+      if (!pt.exact || pt.misses >= pt.Ctot || pt.size <= 0) continue;
+      hierarchy::CandidatePoint c;
+      c.size = pt.size;
+      c.writes = pt.misses;
+      c.copyReads = ex.Ctot;
+      c.bypassReads = 0;
+      c.label = "ML L" + std::to_string(pt.level);
+      candidates.push_back(std::move(c));
+    }
+  }
+
+  // Selected simulated-curve points (the paper's Fig. 4b combines "points
+  // on the data reuse factor curve"): subsample at roughly equal reuse
+  // ratios so the candidate count stays bounded. Only meaningful when the
+  // simulated counts cover the whole signal (they always do: the trace is
+  // the signal's full read stream).
+  if (opts.includeSimulatedCandidates && opts.runSimulation &&
+      ex.curveFidelity != simcore::Fidelity::Analytic &&
+      chainOpts.directBackgroundReads == 0 &&
+      !ex.simulatedCurve.points.empty()) {
+    double maxFr = ex.simulatedCurve.maxReuseFactor();
+    double lastKept = 1.0;
+    std::vector<const simcore::ReusePoint*> picked;
+    for (const simcore::ReusePoint& pt : ex.simulatedCurve.points) {
+      if (pt.writes <= 0 || pt.reuseFactor <= 1.0) continue;
+      bool saturated = pt.reuseFactor >= maxFr * (1.0 - 1e-9);
+      if (pt.reuseFactor >= lastKept * 1.4 || saturated) {
+        picked.push_back(&pt);
+        lastKept = pt.reuseFactor;
+        if (saturated) break;  // smallest saturating size is enough
+      }
+    }
+    while (static_cast<i64>(picked.size()) > opts.maxSimulatedCandidates)
+      picked.erase(picked.begin() + 1);  // keep the extremes
+    for (const simcore::ReusePoint* pt : picked) {
+      hierarchy::CandidatePoint c;
+      c.size = pt->size;
+      c.writes = pt->writes;
+      c.copyReads = ex.Ctot;
+      c.bypassReads = 0;
+      c.label = "sim A=" + std::to_string(pt->size);
+      candidates.push_back(std::move(c));
+    }
+  }
+
+  if (chainOpts.directBackgroundReads < ex.Ctot && !candidates.empty()) {
+    int bits = p.signals[static_cast<std::size_t>(ex.signal)].elementBits;
+    ex.chains = hierarchy::enumerateChains(ex.Ctot, candidates, opts.library,
+                                           bits, chainOpts);
+    ex.pareto = hierarchy::paretoChains(ex.chains);
+  }
 }
 
 std::uint64_t exploreConfigHash(const Program& p, int signal,

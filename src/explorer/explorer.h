@@ -18,14 +18,21 @@
 /// The top-level data-reuse exploration flow — the library equivalent of
 /// the paper's prototype tool ("computes, based on the loop and index
 /// expression parameters as input, the data reuse factor and power/memory
-/// size Pareto curve points with and without bypass", Section 6.3):
+/// size Pareto curve points with and without bypass", Section 6.3). Two
+/// stages. The curve stage, which every exploreSignal* overload returns:
 ///
-///   1. collect the read trace of a signal,
-///   2. produce the simulated (Belady) reuse-factor curve,
-///   3. produce the analytical curve points per access (max + partial +
-///      bypass) and the working-set knees per loop level,
-///   4. enumerate copy-candidate chains over those points and
-///   5. Pareto-filter power vs on-chip size.
+///   1. count the signal's reads (and, without simulation, its distinct
+///      elements); only SimEngine::Materialized collects the trace,
+///   2. produce the analytical curve points per access (max + partial +
+///      bypass) and the closed-form multi-level footprints,
+///   3. count the working-set knees per loop level,
+///   4. produce the simulated (Belady) reuse-factor curve down the
+///      fidelity ladder (symbolic, streamed/folded, analytic fallback).
+///
+/// The design stage, designChains, only for callers that print or use
+/// hierarchies: enumerate copy-candidate chains over those points and
+/// Pareto-filter power vs on-chip size. The service and the partitioning
+/// advisor read only the curve and never run it.
 ///
 /// Accesses in different nests (SUSAN's series of loops) are combined by
 /// aligning their partial-reuse fractions, as the paper's "combined"
@@ -123,13 +130,22 @@ struct SignalExploration {
   /// Working-set knees per nest touching the signal.
   std::vector<std::vector<analytic::LevelKnee>> kneesPerNest;
 
+  /// Filled by designChains only; empty after exploreSignal*.
   std::vector<hierarchy::ChainDesign> chains;  ///< all enumerated designs
   std::vector<hierarchy::ChainDesign> pareto;  ///< non-dominated designs
 };
 
-/// Run the full flow for every read access to `signal`.
+/// Run the curve stage (steps 1-4) for every read access to `signal`.
 SignalExploration exploreSignal(const loopir::Program& p, int signal,
                                 const ExploreOptions& opts = {});
+
+/// The design stage: enumerate copy-candidate chains over `exploration`'s
+/// analytic points, single-nest knees, exact multi-level footprints and
+/// subsampled simulated points, and fill its `chains` and `pareto`.
+/// `exploration` must come from exploreSignal*(p, signal, opts) with the
+/// same `p` and `opts`.
+void designChains(const loopir::Program& p, SignalExploration& exploration,
+                  const ExploreOptions& opts = {});
 
 /// FNV-1a 64 content address of one exploration request: hashes the
 /// *normalized* kernel, the signal, the engine/size-grid configuration,
@@ -142,11 +158,12 @@ SignalExploration exploreSignal(const loopir::Program& p, int signal,
 std::uint64_t exploreConfigHash(const loopir::Program& p, int signal,
                                 const ExploreOptions& opts = {});
 
-/// Non-throwing facade over exploreSignal for user-input-driven callers
-/// (the CLI and example binaries): input problems come back as a Status
-/// instead of an exception — InvalidInput for a bad signal / never-read
-/// signal, Overflow when the requested bounds leave the i64 range (8K+
-/// frames on deep products), BudgetExceeded when an allocation gives out.
+/// Non-throwing facade over exploreSignal (the curve stage) for
+/// user-input-driven callers (the CLI and example binaries): input problems
+/// come back as a Status instead of an exception — InvalidInput for a bad
+/// signal / never-read signal, Overflow when the requested bounds leave the
+/// i64 range (8K+ frames on deep products), BudgetExceeded when an
+/// allocation gives out.
 /// Internal invariant violations still throw: those are library bugs.
 support::Expected<SignalExploration> exploreSignalChecked(
     const loopir::Program& p, int signal, const ExploreOptions& opts = {});
@@ -186,9 +203,9 @@ struct ResumeSummary {
 /// header is validated against the current request (mismatch => clean
 /// restart, with summary.restartReason explaining why), already-journaled
 /// points are skipped, and only missing points re-enter the degradation
-/// ladder. Only exact points (Fidelity::ExactStream/ExactFold) are made
-/// durable — a degraded run journals nothing, so a later resume redoes it
-/// at full fidelity. Journal I/O failures surface as StatusCode::IoError.
+/// ladder. Only exact points (Fidelity::Symbolic/ExactStream/ExactFold)
+/// are made durable — a degraded run journals nothing, so a later resume
+/// redoes it at full fidelity. Journal I/O failures surface as StatusCode::IoError.
 /// A resumed run's curve is byte-identical to an uninterrupted one
 /// (pinned by tests/test_resume.cpp).
 support::Expected<SignalExploration> exploreSignalChecked(

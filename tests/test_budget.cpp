@@ -9,6 +9,7 @@
 
 #include "explorer/explorer.h"
 #include "kernels/motion_estimation.h"
+#include "kernels/susan.h"
 #include "simcore/folded_curve.h"
 #include "support/budget.h"
 #include "trace/period.h"
@@ -218,6 +219,48 @@ TEST(Ladder, TightDeadlineFallsToAnalyticCurve) {
   const auto& top = ex.simulatedCurve.points.back();
   EXPECT_EQ(top.size, ex.distinctElements);
   EXPECT_NEAR(top.reuseFactor, 213.64, 0.01);  // 6488064 / 30369
+}
+
+// --- the degraded rungs count the footprint from the level-0 windows -----
+
+TEST(Ladder, ApproxFoldReportsExactDistinctElements) {
+  // The approximate fold extrapolates its stack histogram, distinct count
+  // included; the reported footprint, and the curve's top size with it,
+  // must be the exact one — here also the signal's padded element count.
+  const auto p = dr::kernels::motionEstimation({.H = 48, .W = 48});
+  const int old = p.findSignal("Old");
+  const auto exact = dr::explorer::exploreSignal(p, old);
+  ASSERT_EQ(exact.distinctElements, 3969);
+  EXPECT_EQ(dr::trace::AddressMap(p).paddedElementCount(old), 3969);
+
+  RunBudget b;
+  b.setMaxEvents(20000);
+  dr::explorer::ExploreOptions opts;
+  opts.budget = &b;
+  const auto ex = dr::explorer::exploreSignal(p, old, opts);
+  ASSERT_EQ(ex.curveFidelity, dr::simcore::Fidelity::ApproxFold);
+  EXPECT_EQ(ex.distinctElements, exact.distinctElements);
+  ASSERT_FALSE(ex.simulatedCurve.points.empty());
+  EXPECT_EQ(ex.simulatedCurve.points.back().size,
+            exact.simulatedCurve.points.back().size);
+}
+
+TEST(Ladder, AnalyticRungCountsTheUnionOfNests) {
+  // SUSAN reads `image` in seven nests, one per mask row: the footprint is
+  // the union of their level-0 windows, not the largest one.
+  const auto p = dr::kernels::susan({40, 40});
+  const int image = p.findSignal("image");
+  const auto exact = dr::explorer::exploreSignal(p, image);
+  ASSERT_EQ(exact.distinctElements, 1588);
+
+  RunBudget b;
+  b.setDeadline(std::chrono::milliseconds(0));  // already expired
+  dr::explorer::ExploreOptions opts;
+  opts.budget = &b;
+  const auto ex = dr::explorer::exploreSignal(p, image, opts);
+  ASSERT_EQ(ex.curveFidelity, dr::simcore::Fidelity::Analytic);
+  EXPECT_EQ(ex.distinctElements, exact.distinctElements);
+  EXPECT_EQ(ex.simulationStats.distinct, exact.distinctElements);
 }
 
 // --- checked facade -------------------------------------------------------

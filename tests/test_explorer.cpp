@@ -1,6 +1,6 @@
-// End-to-end tests of the exploration facade: the full trace -> simulate
-// -> analytic -> chains -> Pareto flow on the paper's test vehicles
-// (scaled down so each test runs in milliseconds).
+// End-to-end tests of the exploration facade: the curve stage (analytic
+// -> knees -> simulate) plus designChains (chains -> Pareto) on the
+// paper's test vehicles (scaled down so each test runs in milliseconds).
 
 #include <gtest/gtest.h>
 
@@ -59,7 +59,11 @@ TEST(Explorer, MotionEstimationEndToEnd) {
   EXPECT_EQ(ex.kneesPerNest[0][0].workingSetMax, ex.distinctElements);
   EXPECT_EQ(ex.kneesPerNest[0][0].misses, ex.distinctElements);
 
-  // Chains exist, all valid, Pareto front non-trivial and improving.
+  // Chains exist, all valid, Pareto front non-trivial and improving. The
+  // curve stage designs none; designChains does.
+  EXPECT_TRUE(ex.chains.empty());
+  EXPECT_TRUE(ex.pareto.empty());
+  designChains(p, ex);
   ASSERT_GT(ex.chains.size(), 1u);
   for (const auto& d : ex.chains) EXPECT_TRUE(d.chain.validate().empty());
   ASSERT_GE(ex.pareto.size(), 2u);
@@ -95,6 +99,7 @@ TEST(Explorer, SusanCombinedCurve) {
 
   // Chains were built (per-nest knees are not combined for multi-nest
   // signals, but the analytic candidates are).
+  designChains(p, ex);
   EXPECT_GT(ex.chains.size(), 1u);
   EXPECT_GE(ex.pareto.size(), 1u);
 }
@@ -151,6 +156,7 @@ TEST(Explorer, AnalyticOnlyMode) {
   EXPECT_TRUE(ex.simulatedCurve.points.empty());
   EXPECT_TRUE(ex.kneesPerNest.empty());
   EXPECT_FALSE(ex.combinedPoints.empty());
+  designChains(p, ex, opts);
   EXPECT_FALSE(ex.chains.empty());
 }
 
@@ -250,6 +256,7 @@ TEST(Explorer, MultiLevelCandidatesImproveChains) {
   // The ML L1 closed-form point must appear among the ME chain designs.
   auto p = dr::kernels::motionEstimation({32, 32, 4, 4});
   auto ex = dr::explorer::exploreSignal(p, p.findSignal("Old"));
+  dr::explorer::designChains(p, ex);
   bool found = false;
   for (const auto& d : ex.chains)
     if (d.label.find("ML L") != std::string::npos) found = true;
@@ -320,16 +327,19 @@ std::string describeOrderings(
 TEST(Explorer, ParallelOutputIdenticalToSerial) {
   auto p = dr::kernels::motionEstimation({32, 32, 4, 4});
   const int signal = p.findSignal("Old");
+  auto exploreAndDesign = [&] {
+    auto ex = dr::explorer::exploreSignal(p, signal);
+    dr::explorer::designChains(p, ex);
+    return ex;
+  };
 
   setenv("DR_THREADS", "1", 1);
-  std::string serialEx =
-      describeExploration(dr::explorer::exploreSignal(p, signal));
+  std::string serialEx = describeExploration(exploreAndDesign());
   std::string serialOrd =
       describeOrderings(dr::explorer::orderingSweep(p, signal, 200));
   unsetenv("DR_THREADS");  // default: hardware concurrency
 
-  std::string parallelEx =
-      describeExploration(dr::explorer::exploreSignal(p, signal));
+  std::string parallelEx = describeExploration(exploreAndDesign());
   std::string parallelOrd =
       describeOrderings(dr::explorer::orderingSweep(p, signal, 200));
 

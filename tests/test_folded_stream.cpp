@@ -585,8 +585,10 @@ TEST(ExplorerStreaming, MatchesMaterializedEngine) {
   dr::explorer::ExploreOptions materialized;
   materialized.engine = dr::explorer::SimEngine::Materialized;
 
-  const auto s = dr::explorer::exploreSignal(p, oldSig, streaming);
-  const auto m = dr::explorer::exploreSignal(p, oldSig, materialized);
+  auto s = dr::explorer::exploreSignal(p, oldSig, streaming);
+  auto m = dr::explorer::exploreSignal(p, oldSig, materialized);
+  dr::explorer::designChains(p, s, streaming);
+  dr::explorer::designChains(p, m, materialized);
 
   EXPECT_EQ(s.Ctot, m.Ctot);
   EXPECT_EQ(s.distinctElements, m.distinctElements);

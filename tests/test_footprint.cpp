@@ -1,14 +1,23 @@
 // Tests for the closed-form multi-level footprint model (the paper's
 // "multiple level hierarchies" extension): per-dimension reachable-offset
 // shapes, shifted-overlap counting, and the multi-level design points
-// validated against Belady simulation.
+// validated against Belady simulation. Also the working-set knees'
+// translate-window count, pinned field for field to the per-element walk.
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "analytic/curve.h"
 #include "analytic/footprint.h"
+#include "frontend/frontend.h"
 #include "helpers.h"
 #include "kernels/conv2d.h"
+#include "kernels/matmul.h"
 #include "kernels/motion_estimation.h"
+#include "kernels/susan.h"
+#include "kernels/wavelet.h"
+#include "loopir/normalize.h"
 #include "simcore/buffer_sim.h"
 #include "support/rng.h"
 #include "trace/walker.h"
@@ -213,6 +222,211 @@ TEST(MultiLevel, EightKFrameCountsStayExact) {
     EXPECT_EQ(pt.Ctot, total);
     EXPECT_EQ(pt.misses, total);  // no cross-frame or cross-row overlap
   }
+}
+
+// --- working-set knees: one translate window per level vs the walk -------
+//
+// workingSetKnees counts one window per level where the group's outer
+// address coefficients agree and walks the rest; workingSetKneesByWalk
+// walks every event. Knee sizes feed the explorer's planned curve sizes
+// on every path, the reference engines included, so this comparison is
+// the only check that catches a wrong knee.
+
+/// Every read group of every nest of `p` (all reads of one signal in one
+/// nest, as the explorer groups them, and each read alone), on `p` and on
+/// its normalized form. Returns the number of groups compared.
+int expectKneesMatchWalk(const loopir::Program& p, const std::string& what) {
+  int groups = 0;
+  for (const loopir::Program& q : {p, loopir::normalized(p)}) {
+    const dr::trace::AddressMap map(q);
+    auto compare = [&](int n, const std::vector<int>& group) {
+      const auto fast = workingSetKnees(q, map, n, group);
+      const auto walk = workingSetKneesByWalk(q, map, n, group);
+      ASSERT_EQ(fast.size(), walk.size()) << what;
+      for (std::size_t l = 0; l < fast.size(); ++l) {
+        SCOPED_TRACE(what + " nest " + std::to_string(n) + " first access " +
+                     std::to_string(group.front()) + " of " +
+                     std::to_string(group.size()) + ", level " +
+                     std::to_string(l));
+        EXPECT_EQ(fast[l].level, walk[l].level);
+        EXPECT_EQ(fast[l].workingSetMax, walk[l].workingSetMax);
+        EXPECT_EQ(fast[l].misses, walk[l].misses);
+        EXPECT_EQ(fast[l].Ctot, walk[l].Ctot);
+        EXPECT_EQ(fast[l].FR, walk[l].FR);
+      }
+      ++groups;
+    };
+    for (std::size_t n = 0; n < q.nests.size(); ++n) {
+      const loopir::LoopNest& nest = q.nests[n];
+      for (std::size_t s = 0; s < q.signals.size(); ++s) {
+        std::vector<int> group;
+        for (std::size_t a = 0; a < nest.body.size(); ++a)
+          if (nest.body[a].signal == static_cast<int>(s) &&
+              nest.body[a].kind == loopir::AccessKind::Read)
+            group.push_back(static_cast<int>(a));
+        if (group.empty()) continue;
+        compare(static_cast<int>(n), group);
+        if (group.size() > 1)
+          for (int a : group) compare(static_cast<int>(n), {a});
+      }
+    }
+  }
+  return groups;
+}
+
+TEST(KneeOracle, BuiltInKernels) {
+  expectKneesMatchWalk(dr::kernels::motionEstimation({32, 32, 4, 4}), "me");
+  expectKneesMatchWalk(dr::kernels::motionEstimation({24, 40, 8, 3}),
+                       "me 24x40");
+  expectKneesMatchWalk(dr::kernels::conv2d({20, 18, 2}), "conv2d");
+  expectKneesMatchWalk(dr::kernels::matmul({12, 10}), "matmul");
+  expectKneesMatchWalk(dr::kernels::susan({24, 20}), "susan");
+  expectKneesMatchWalk(dr::kernels::waveletLifting({8, 16}), "wavelet");
+}
+
+TEST(KneeOracle, ExampleKernelFiles) {
+  for (const char* name : {"hfilter", "downsample", "matvec"}) {
+    const std::string path =
+        std::string(DR_EXAMPLE_KERNELS_DIR) + "/" + name + ".krn";
+    EXPECT_GT(expectKneesMatchWalk(dr::frontend::compileKernelFile(path), name),
+              0);
+  }
+}
+
+/// The eight cold-mix families of the exploration benchmark, parameters
+/// drawn from the same ranges (unscaled).
+loopir::Program drawColdMixKernel(int family, dr::support::Rng& rng) {
+  auto param = [](const char* name, i64 v) {
+    return std::string("param ") + name + " = " + std::to_string(v) + "; ";
+  };
+  switch (family) {
+    case 0:
+      return dr::kernels::motionEstimation(
+          {4 * rng.uniform(3, 24), 4 * rng.uniform(3, 24),
+           2 * rng.uniform(1, 2), rng.uniform(1, 3)});
+    case 1:
+      return dr::kernels::conv2d(
+          {rng.uniform(12, 40), rng.uniform(12, 40), rng.uniform(1, 2)});
+    case 2:
+      return dr::kernels::matmul({rng.uniform(6, 40), rng.uniform(6, 40)});
+    case 3:
+      return dr::kernels::susan({rng.uniform(10, 50), rng.uniform(10, 50)});
+    case 4:
+      return dr::kernels::waveletLifting(
+          {rng.uniform(6, 60), 2 * rng.uniform(6, 40)});
+    case 5: {
+      const i64 H = rng.uniform(8, 40), W = rng.uniform(12, 56),
+                R = rng.uniform(1, 3);
+      return dr::frontend::compileKernel(
+          "kernel hfilter { " + param("H", H) + param("W", W) +
+          param("R", R) +
+          "array img[H][W]; loop y = 0 .. H - 1 { loop x = R .. W - 1 - R "
+          "{ loop dx = -R .. R { read img[y][x + dx]; } } } }");
+    }
+    case 6: {
+      const i64 N = rng.uniform(6, 32), M = rng.uniform(6, 40);
+      return dr::frontend::compileKernel(
+          "kernel matvec { " + param("N", N) + param("M", M) +
+          "array A[N][M]; array x[M]; loop i = 0 .. N - 1 { loop j = 0 .. "
+          "M - 1 { read A[i][j]; read x[j]; } } }");
+    }
+    default: {
+      const i64 H = rng.uniform(10, 60), W = rng.uniform(10, 60);
+      return dr::frontend::compileKernel(
+          "kernel downsample { " + param("H", H) + param("W", W) +
+          "array in[H][W]; loop y = 0 .. H - 3 step 2 { loop x = 0 .. W - "
+          "3 step 2 { loop dy = 0 .. 2 { loop dx = 0 .. 2 { read in[y + "
+          "dy][x + dx]; } } } } }");
+    }
+  }
+}
+
+TEST(KneeOracle, SeededColdMixFamilies) {
+  dr::support::Rng rng(0x6b6e6565);
+  for (int round = 0; round < 8; ++round)
+    for (int family = 0; family < 8; ++family)
+      expectKneesMatchWalk(drawColdMixKernel(family, rng),
+                           "family " + std::to_string(family) + " round " +
+                               std::to_string(round));
+}
+
+TEST(KneeOracle, MixedOuterCoefficientsFallBackToTheWalk) {
+  // x[i] and x[j] disagree on i's coefficient, so the level-1 windows are
+  // not translates: {i, 0..3} holds 4 elements for i < 4 and 5 after.
+  const auto p = dr::frontend::compileKernel(R"(
+    kernel mixed {
+      array x[8];
+      loop i = 0 .. 7 { loop j = 0 .. 3 { read x[i]; read x[j]; } }
+    })");
+  const dr::trace::AddressMap map(p);
+  const auto knees = workingSetKnees(p, map, 0, {0, 1});
+  ASSERT_EQ(knees.size(), 2u);
+  EXPECT_EQ(knees[0].workingSetMax, 8);
+  EXPECT_EQ(knees[0].misses, 8);
+  EXPECT_EQ(knees[1].workingSetMax, 5);
+  EXPECT_EQ(knees[1].misses, 4 * 4 + 4 * 5);
+  EXPECT_EQ(knees[1].Ctot, 2 * 8 * 4);
+  expectKneesMatchWalk(p, "mixed");
+
+  // Agreement on the outer loop but not the middle one: level 1 is
+  // counted, level 2 walked.
+  expectKneesMatchWalk(dr::frontend::compileKernel(R"(
+    kernel partial {
+      array a[12][16];
+      loop t = 0 .. 2 { loop i = 0 .. 5 { loop j = 0 .. 3 {
+        read a[2 * t + i][j];
+        read a[2 * t][j + i];
+        read a[2 * t + 1][3 * j];
+      } } }
+    })"),
+                       "partial");
+}
+
+TEST(KneeOracle, SparseWindowsCountWithoutABitmap) {
+  // Level 0 spans ~300k addresses for 16 events: counted by sorting the
+  // window's addresses instead of a bitmap over its range.
+  const auto p = dr::frontend::compileKernel(R"(
+    kernel sparse {
+      array a[400000];
+      loop i = 0 .. 3 { loop j = 0 .. 3 { read a[100000 * i + j]; } }
+    })");
+  const dr::trace::AddressMap map(p);
+  const auto knees = workingSetKnees(p, map, 0, {0});
+  ASSERT_EQ(knees.size(), 2u);
+  EXPECT_EQ(knees[0].workingSetMax, 16);
+  EXPECT_EQ(knees[1].workingSetMax, 4);
+  expectKneesMatchWalk(p, "sparse");
+}
+
+TEST(KneeOracle, ZeroNegativeCoefficientsAndOffsetBegins) {
+  expectKneesMatchWalk(dr::frontend::compileKernel(R"(
+    kernel signs {
+      param R = 2;
+      array a[48];
+      array b[12][12];
+      loop i = 0 .. 5 {
+        loop j = -R .. R {
+          loop k = 1 .. 4 {
+            read a[20 - 2 * i + j];
+            read a[3 * k - j + 10];
+            read a[0 * i + 7];
+            read b[k][i];
+            read b[5 - i][k + 3 - j];
+            read b[k + 2][k + 2];
+          }
+        }
+      }
+    })"),
+                       "signs");
+  expectKneesMatchWalk(dr::frontend::compileKernel(R"(
+    kernel steps {
+      array a[64];
+      loop i = 9 .. 1 step -2 { loop j = -3 .. 3 step 3 { loop k = 2 .. 6 {
+        read a[4 * i - 2 * k + j + 20];
+        read a[4 * i - 2 * k + j + 21];
+      } } }
+    })"),
+                       "steps");
 }
 
 }  // namespace

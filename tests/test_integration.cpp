@@ -222,6 +222,7 @@ TEST(EndToEnd, KernelTextToPhysicalMapping) {
   std::vector<dr::explorer::SignalExploration> explorations;
   for (const char* name : {"A", "w"}) {
     auto ex = dr::explorer::exploreSignal(p, p.findSignal(name));
+    dr::explorer::designChains(p, ex);
     ASSERT_FALSE(ex.pareto.empty()) << name;
     std::vector<dr::hierarchy::SignalOption> opts;
     for (std::size_t i = 0; i < ex.pareto.size(); ++i)
@@ -306,6 +307,7 @@ TEST(EndToEnd, IntermediateSignalAcrossNests) {
 
   // The reuse exploration only sees stage 2's reads of T.
   auto ex = dr::explorer::exploreSignal(p, p.findSignal("T"));
+  dr::explorer::designChains(p, ex);
   EXPECT_EQ(ex.Ctot, 14LL * 16 * 3);
   ASSERT_FALSE(ex.combinedPoints.empty());
   ASSERT_FALSE(ex.pareto.empty());

@@ -68,6 +68,7 @@ TEST(AsciiPlot, SinglePointDegenerateRanges) {
 TEST(SignalReport, ContainsAllSections) {
   auto p = dr::kernels::motionEstimation({32, 32, 4, 4});
   auto ex = dr::explorer::exploreSignal(p, p.findSignal("Old"));
+  dr::explorer::designChains(p, ex);
   std::string md = signalReport(p, ex);
   EXPECT_NE(md.find("# Data reuse exploration: signal `Old`"),
             std::string::npos);
@@ -82,6 +83,7 @@ TEST(SignalReport, ContainsAllSections) {
 TEST(SignalReport, PlotsOptional) {
   auto p = dr::kernels::motionEstimation({32, 32, 4, 4});
   auto ex = dr::explorer::exploreSignal(p, p.findSignal("Old"));
+  dr::explorer::designChains(p, ex);
   ReportOptions opts;
   opts.includePlots = false;
   std::string md = signalReport(p, ex, opts);

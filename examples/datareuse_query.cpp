@@ -19,8 +19,9 @@
 // --socket accepts any endpoint spec: a Unix socket path, or host:port
 // to reach a TCP daemon or the shard router (datareuse_route).
 // --scrub DIR needs no daemon: it CRC-verifies every *.journal in a warm
-// cache directory, quarantines unreadable ones (renamed to *.corrupt so
-// the daemon recomputes instead of trusting them), and prints a summary.
+// cache directory, quarantines every file that is not one complete record
+// (renamed to *.corrupt so the daemon recomputes instead of trusting it),
+// and prints a summary.
 //
 // --count N fires N *concurrent identical* queries on N connections —
 // the single-flight smoke test: the daemon answers all N with exactly
@@ -111,11 +112,9 @@ int runQuery(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", report.status().str().c_str());
       return 1;
     }
-    std::printf("scrub %s: %lld journal(s), %lld clean, %lld torn tail(s), "
-                "%lld quarantined\n",
+    std::printf("scrub %s: %lld journal(s), %lld clean, %lld quarantined\n",
                 scrubDir.c_str(), static_cast<long long>(report->scanned),
                 static_cast<long long>(report->clean),
-                static_cast<long long>(report->tornTails),
                 static_cast<long long>(report->quarantined));
     for (const std::string& f : report->quarantinedFiles)
       std::printf("  quarantined %s -> %s.corrupt\n", f.c_str(), f.c_str());

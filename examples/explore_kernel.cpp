@@ -14,10 +14,12 @@
 //
 // Without --kernel it runs on a built-in 2-D convolution example. The
 // kernel language grammar is documented in src/frontend/parser.h.
-// --journal makes the sweep crash-safe: completed exact curve points are
-// persisted (CRC-checksummed, fsync'd) and a rerun with the same flags
-// resumes from them instead of recomputing; --no-resume forces a fresh
-// journal. --cache-dir DIR is the content-addressed flavour of the same
+// --journal makes the curve durable: a completed exact curve is written
+// once as one CRC-checksummed record (temp file, fsync, rename), and a
+// rerun with the same flags replays it instead of recomputing; a torn or
+// corrupt file restarts clean and is overwritten, and a degraded run
+// writes nothing. --no-resume ignores an existing file and recomputes.
+// --cache-dir DIR is the content-addressed flavour of the same
 // mechanism: the journal lands at DIR/<config-hash>.journal — the exact
 // warm-cache files the exploration daemon (datareuse_serve) reads and
 // writes — so reruns and daemon queries with the same kernel + options
@@ -102,10 +104,6 @@ bool exploreForSignal(const dr::loopir::Program& p, int signal,
   line << "journal " << journal.path << ": " << summary.pointsReused
        << " point(s) reused, " << summary.pointsRecomputed
        << " recomputed";
-  if (summary.pointsFailed > 0)
-    line << ", " << summary.pointsFailed << " failed";
-  if (summary.droppedTailBytes > 0)
-    line << ", " << summary.droppedTailBytes << " torn tail byte(s) dropped";
   if (summary.restarted)
     line << " (restarted clean: " << summary.restartReason << ")";
   std::printf("%s\n", line.str().c_str());

@@ -1,12 +1,11 @@
-// Fuzz target: journal recovery (support/journal.h).
+// Fuzz target: journal record parsing (support/journal.h).
 //
 // The input bytes are loaded directly as a journal file image — the
-// attacker-controlled artifact a crashed run leaves behind. parseJournal
-// must never crash, leak, or over-read on any input, must never accept a
-// record with a bad CRC, and what it does accept must satisfy the
-// durability contract: the committed prefix re-parses to exactly the
-// same contents with nothing dropped (truncation is idempotent), and the
-// reported byte accounting always adds up.
+// artifact a crashed or damaged run leaves behind. parseJournal must
+// never crash, leak, or over-read on any input, and must accept only one
+// complete record: an image it accepts re-encodes to identical bytes (so
+// its CRC, magic, version and length all checked out), and every strict
+// prefix of it is rejected (a write cut at any byte never parses).
 
 #include <cstdlib>
 #include <string_view>
@@ -19,24 +18,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   auto parsed = dr::support::parseJournal(bytes);
   if (!parsed.hasValue()) return 0;  // rejected cleanly: fine
 
-  const auto& c = *parsed;
-  if (c.committedBytes < 0 ||
-      c.committedBytes > static_cast<dr::support::i64>(size))
-    std::abort();
-  if (c.droppedTailBytes !=
-      static_cast<dr::support::i64>(size) - c.committedBytes)
-    std::abort();
-  if (c.commitCount <= 0) std::abort();
-
-  // Truncation is idempotent: the committed prefix alone must recover the
-  // identical contents, with zero dropped bytes.
-  auto again = dr::support::parseJournal(
-      bytes.substr(0, static_cast<size_t>(c.committedBytes)));
-  if (!again.hasValue()) std::abort();
-  if (!(again->header == c.header)) std::abort();
-  if (again->hasMeta != c.hasMeta) std::abort();
-  if (c.hasMeta && !(again->meta == c.meta)) std::abort();
-  if (again->points != c.points) std::abort();
-  if (again->droppedTailBytes != 0) std::abort();
+  if (dr::support::encodeJournal(*parsed) != bytes) std::abort();
+  for (size_t len = 0; len < size; ++len)
+    if (dr::support::parseJournal(bytes.substr(0, len)).hasValue())
+      std::abort();
   return 0;
 }

@@ -4,7 +4,6 @@
 #include <fstream>
 #include <functional>
 #include <limits>
-#include <map>
 #include <optional>
 #include <utility>
 
@@ -12,9 +11,7 @@
 #include "loopir/normalize.h"
 #include "loopir/permute.h"
 #include "loopir/printer.h"
-#include "simcore/opt_stack.h"
 #include "support/contracts.h"
-#include "support/fault.h"
 #include "support/hash.h"
 #include "support/journal.h"
 #include "support/parallel.h"
@@ -96,12 +93,6 @@ simcore::ReuseCurve analyticFallbackCurve(const SignalExploration& result) {
 /// older code then restart clean instead of mixing generations.
 constexpr std::uint64_t kJournalCodeVersion = 2;
 
-bool fidelityIsExact(std::uint8_t f) {
-  return f == static_cast<std::uint8_t>(simcore::Fidelity::Symbolic) ||
-         f == static_cast<std::uint8_t>(simcore::Fidelity::ExactStream) ||
-         f == static_cast<std::uint8_t>(simcore::Fidelity::ExactFold);
-}
-
 /// Strict-engine rejection (SimEngine::Symbolic on a signal the closed
 /// forms do not cover). Thrown out of exploreSignalImpl and converted to
 /// an InvalidInput status by the checked facades.
@@ -135,142 +126,93 @@ std::uint64_t journalConfigHash(const Program& pn, int signal,
   return support::fnv1a(blob);
 }
 
-/// The journaled-run state threaded through exploreSignalImpl: the shared
-/// writer, the committed points of a prior run (exact rungs only, keyed
-/// by size, last record per size wins), and the summary being filled.
+/// The journaled-run state threaded through exploreSignalImpl: the
+/// record a prior run left (config hash already checked), and whether it
+/// answered this run.
 struct JournalHook {
-  support::JournalWriter* writer = nullptr;
-  std::map<i64, support::JournalPoint> priorExact;
-  bool hasMeta = false;
-  support::JournalMeta meta;
-  ResumeSummary* summary = nullptr;
+  const support::JournalRecord* record = nullptr;
+  bool replayed = false;
 };
 
-simcore::ReusePoint pointFromJournal(const support::JournalPoint& jp) {
-  simcore::ReusePoint pt;
-  pt.size = jp.size;
-  pt.writes = jp.writes;
-  pt.reads = jp.reads;
-  // Recomputed, never stored: matches SimResult::reuseFactor() bit for
-  // bit, which is what keeps a resumed curve byte-identical.
-  pt.reuseFactor = jp.writes == 0
-                       ? static_cast<double>(jp.reads)
-                       : static_cast<double>(jp.reads) /
-                             static_cast<double>(jp.writes);
-  pt.fidelity = static_cast<simcore::Fidelity>(jp.fidelity);
-  return pt;
+simcore::ReusePoint pointAt(i64 size, const simcore::SimResult& r,
+                            simcore::Fidelity fidelity) {
+  return {size, r.misses, r.accesses, r.reuseFactor(), fidelity};
 }
 
-/// Assemble the simulated curve at `sizes` (sorted, deduplicated),
-/// reusing journaled exact points and computing the rest through
-/// `evalAt`. With a hook, each computed point runs as an isolated task
-/// (support::parallelForIsolated): a task failure — the FaultSite::Task
-/// probe or a failed journal append — is retried, and on exhaustion marks
-/// only its own point Fidelity::Failed instead of sinking the sweep.
-/// Only exact-rung points are journaled.
+/// The simulated curve at `sizes` (sorted, deduplicated): one histogram
+/// lookup per size, every point tagged with the run's rung.
 void assembleCurve(SignalExploration& result, const std::vector<i64>& sizes,
-                   simcore::Fidelity runFidelity, JournalHook* hook,
-                   const std::function<simcore::SimResult(i64)>& evalAt) {
-  simcore::ReuseCurve& curve = result.simulatedCurve;
-  curve.points.assign(sizes.size(), simcore::ReusePoint{});
-  const bool journal =
-      hook && hook->writer &&
-      fidelityIsExact(static_cast<std::uint8_t>(runFidelity));
-  std::vector<std::size_t> missing;
-  missing.reserve(sizes.size());
-  for (std::size_t i = 0; i < sizes.size(); ++i) {
-    if (hook) {
-      auto it = hook->priorExact.find(sizes[i]);
-      if (it != hook->priorExact.end()) {
-        curve.points[i] = pointFromJournal(it->second);
-        ++hook->summary->pointsReused;
-        continue;
-      }
-    }
-    missing.push_back(i);
-  }
-  if (missing.empty()) return;
-
-  if (!hook) {
-    // Unjournaled runs keep the plain parallel sweep: no retry ladder to
-    // pay for, identical numbers.
-    dr::support::parallelFor(static_cast<i64>(missing.size()), [&](i64 k) {
-      const std::size_t idx = missing[static_cast<std::size_t>(k)];
-      const simcore::SimResult r = evalAt(sizes[idx]);
-      simcore::ReusePoint pt;
-      pt.size = sizes[idx];
-      pt.writes = r.misses;
-      pt.reads = r.accesses;
-      pt.reuseFactor = r.reuseFactor();
-      pt.fidelity = runFidelity;
-      curve.points[idx] = pt;
-    });
-    return;
-  }
-
-  support::IsolatedOptions iso;
-  iso.maxAttempts = 3;
-  iso.seed = 0x6472206a6f75726eULL;  // fixed: retries deterministic per task
-  const std::vector<support::Status> statuses = support::parallelForIsolated(
-      static_cast<i64>(missing.size()), iso,
-      [&](i64 k, int attempt) -> support::Status {
-        (void)attempt;
-        if (support::fault::shouldFail(support::fault::FaultSite::Task))
-          return support::Status::error(support::StatusCode::Internal,
-                                        "injected task fault");
-        const std::size_t idx = missing[static_cast<std::size_t>(k)];
-        const simcore::SimResult r = evalAt(sizes[idx]);
-        simcore::ReusePoint pt;
-        pt.size = sizes[idx];
-        pt.writes = r.misses;
-        pt.reads = r.accesses;
-        pt.reuseFactor = r.reuseFactor();
-        pt.fidelity = runFidelity;
-        curve.points[idx] = pt;
-        if (journal) {
-          support::JournalPoint jp;
-          jp.size = sizes[idx];
-          jp.writes = r.misses;
-          jp.reads = r.accesses;
-          jp.fidelity = static_cast<std::uint8_t>(runFidelity);
-          return hook->writer->appendPoint(jp);
-        }
-        return support::Status::ok();
-      });
-  for (std::size_t k = 0; k < statuses.size(); ++k) {
-    const std::size_t idx = missing[k];
-    if (statuses[k].isOk()) {
-      ++hook->summary->pointsRecomputed;
-      continue;
-    }
-    // Exhausted retries: pin the failure to this point. The Failed record
-    // is journaled (best effort) so a resume retries exactly this size.
-    simcore::ReusePoint failed;
-    failed.size = sizes[idx];
-    failed.fidelity = simcore::Fidelity::Failed;
-    curve.points[idx] = failed;
-    ++hook->summary->pointsFailed;
-    support::JournalPoint jp;
-    jp.size = sizes[idx];
-    jp.fidelity = static_cast<std::uint8_t>(simcore::Fidelity::Failed);
-    (void)hook->writer->appendPoint(jp);
-  }
+                   const simcore::StackHistogram& h) {
+  result.simulatedCurve.points.clear();
+  result.simulatedCurve.points.reserve(sizes.size());
+  for (i64 s : sizes)
+    result.simulatedCurve.points.push_back(
+        pointAt(s, h.resultAt(s), result.curveFidelity));
 }
 
-support::JournalMeta metaFromStats(const SignalExploration& result) {
-  support::JournalMeta m;
+/// The durable record of a freshly computed curve.
+support::JournalRecord recordOf(const SignalExploration& result,
+                                std::uint64_t configHash) {
+  support::JournalRecord rec;
+  rec.configHash = configHash;
+  const simcore::FoldedStats& st = result.simulationStats;
+  support::JournalMeta& m = rec.meta;
   m.Ctot = result.Ctot;
   m.distinct = result.distinctElements;
-  m.fidelity = static_cast<std::uint8_t>(result.simulationStats.fidelity);
-  m.folded = result.simulationStats.folded ? 1 : 0;
-  m.exact = result.simulationStats.exact ? 1 : 0;
-  m.totalEvents = result.simulationStats.totalEvents;
-  m.simulatedEvents = result.simulationStats.simulatedEvents;
-  m.period = result.simulationStats.period;
-  m.repeatCount = result.simulationStats.repeatCount;
-  m.warmupEvents = result.simulationStats.warmupEvents;
-  m.foldPeriodChunks = result.simulationStats.foldPeriodChunks;
-  return m;
+  m.fidelity = static_cast<std::uint8_t>(st.fidelity);
+  m.folded = st.folded ? 1 : 0;
+  m.exact = st.exact ? 1 : 0;
+  m.totalEvents = st.totalEvents;
+  m.simulatedEvents = st.simulatedEvents;
+  m.period = st.period;
+  m.repeatCount = st.repeatCount;
+  m.warmupEvents = st.warmupEvents;
+  m.foldPeriodChunks = st.foldPeriodChunks;
+  for (const simcore::ReusePoint& pt : result.simulatedCurve.points)
+    rec.points.push_back({pt.size, pt.writes, pt.reads});
+  return rec;
+}
+
+/// Replace the engine pass with a loaded record when it was written for
+/// this stream: an exact rung, the same read count, and exactly the
+/// sizes this run plans (they follow from the recorded footprint).
+/// Returns false, leaving `result` as it was, otherwise.
+bool replayRecord(SignalExploration& result, const support::JournalRecord& rec,
+                  const std::function<std::vector<i64>()>& plannedSizes) {
+  const support::JournalMeta& m = rec.meta;
+  const auto fidelity = static_cast<simcore::Fidelity>(m.fidelity);
+  if (!simcore::isExact(fidelity) || m.Ctot != result.Ctot) return false;
+  const i64 countedDistinct = result.distinctElements;
+  result.distinctElements = m.distinct;
+  const std::vector<i64> sizes = plannedSizes();
+  bool same = sizes.size() == rec.points.size();
+  for (std::size_t i = 0; same && i < sizes.size(); ++i)
+    same = sizes[i] == rec.points[i].size;
+  if (!same) {
+    result.distinctElements = countedDistinct;
+    return false;
+  }
+  simcore::FoldedStats& st = result.simulationStats;
+  st.folded = m.folded != 0;
+  st.exact = m.exact != 0;
+  st.completed = true;
+  st.fidelity = fidelity;
+  st.totalEvents = m.totalEvents;
+  st.simulatedEvents = m.simulatedEvents;
+  st.period = m.period;
+  st.repeatCount = m.repeatCount;
+  st.warmupEvents = m.warmupEvents;
+  st.foldPeriodChunks = m.foldPeriodChunks;
+  st.distinct = m.distinct;
+  result.curveFidelity = fidelity;
+  result.simulatedCurve.points.clear();
+  for (const support::JournalPoint& jp : rec.points) {
+    simcore::SimResult r;
+    r.accesses = jp.reads;
+    r.misses = jp.writes;
+    result.simulatedCurve.points.push_back(pointAt(jp.size, r, fidelity));
+  }
+  return true;
 }
 
 }  // namespace
@@ -352,8 +294,9 @@ std::vector<hierarchy::CandidatePoint> toCandidates(
 
 namespace {
 
-/// The curve stage (steps 1-4), optionally journaled. `hook` == nullptr is
-/// the plain exploreSignal path and must stay byte-identical to it.
+/// The curve stage (steps 1-4). `hook` carries a loaded journal record
+/// that may replace the engine pass; nullptr is the plain exploreSignal
+/// path, and a replayed curve must stay byte-identical to it.
 SignalExploration exploreSignalImpl(const Program& p, int signal,
                                     const ExploreOptions& opts,
                                     JournalHook* hook) {
@@ -379,9 +322,8 @@ SignalExploration exploreSignalImpl(const Program& p, int signal,
     result.Ctot = cursor.length();
     DR_REQUIRE_MSG(result.Ctot > 0, "signal is never read");
     if (opts.runSimulation) {
-      // The stack engine runs in step 4: the planned curve sizes decide
-      // there whether a journaled prior run already answers everything
-      // (in which case no engine pass happens at all).
+      // The stack engine runs in step 4, unless a journaled prior run's
+      // record answers every planned size (then no engine pass happens).
     } else {
       // No stack engine needed: one densifying pass counts the distinct
       // elements in O(distinct) memory.
@@ -511,161 +453,85 @@ SignalExploration exploreSignalImpl(const Program& p, int signal,
       return sizes;
     };
 
-    if (streaming) {
-      // Resume shortcut: the journaled stream totals plus a full set of
-      // committed exact points reconstruct the curve with zero
-      // simulation — the engine never runs.
-      bool reconstructed = false;
-      if (hook && hook->hasMeta && fidelityIsExact(hook->meta.fidelity) &&
-          hook->meta.Ctot == result.Ctot) {
-        result.distinctElements = hook->meta.distinct;
-        const std::vector<i64> sizes = plannedSizes();
-        bool covered = !sizes.empty();
-        for (i64 s : sizes)
-          covered = covered && hook->priorExact.count(s) > 0;
-        if (covered) {
-          result.simulationStats.folded = hook->meta.folded != 0;
-          result.simulationStats.exact = hook->meta.exact != 0;
+    if (hook && hook->record &&
+        replayRecord(result, *hook->record, plannedSizes)) {
+      // The loaded record answered every planned size: no engine pass.
+      hook->replayed = true;
+    } else if (!streaming) {
+      result.curveFidelity = simcore::Fidelity::ExactStream;
+      result.simulatedCurve =
+          simcore::simulateReuseCurve(trace, plannedSizes());
+    } else {
+      // Top fidelity rung: the symbolic engine answers the whole OPT
+      // stack-distance histogram in closed form when the signal's read
+      // stream is a covered trace class — no trace walked, query time
+      // independent of the iteration counts. Values are byte-identical
+      // to the folded/streamed engines (pinned by tests and fuzzing);
+      // only the fidelity tag differs. Auto falls through to the fold
+      // path on rejection; SimEngine::Symbolic makes rejection fatal.
+      bool symbolicDone = false;
+      if (opts.engine == SimEngine::Auto ||
+          opts.engine == SimEngine::Symbolic) {
+        auto sym = analytic::symbolicStackHistogram(pn, signal,
+                                                    simcore::Policy::Opt);
+        if (sym.hasValue()) {
+          const simcore::StackHistogram& h = sym->hist;
+          DR_REQUIRE_MSG(h.accesses == result.Ctot,
+                         "symbolic engine disagrees with the cursor on "
+                         "the stream length");
+          result.distinctElements = h.distinct();
+          result.simulationStats.folded = false;
+          result.simulationStats.exact = true;
           result.simulationStats.completed = true;
-          result.simulationStats.fidelity =
-              static_cast<simcore::Fidelity>(hook->meta.fidelity);
-          result.simulationStats.totalEvents = hook->meta.totalEvents;
-          result.simulationStats.simulatedEvents =
-              hook->meta.simulatedEvents;
-          result.simulationStats.period = hook->meta.period;
-          result.simulationStats.repeatCount = hook->meta.repeatCount;
-          result.simulationStats.warmupEvents = hook->meta.warmupEvents;
-          result.simulationStats.foldPeriodChunks =
-              hook->meta.foldPeriodChunks;
-          result.simulationStats.distinct = hook->meta.distinct;
-          result.curveFidelity = result.simulationStats.fidelity;
-          result.simulatedCurve.points.clear();
-          result.simulatedCurve.points.reserve(sizes.size());
-          for (i64 s : sizes)
-            result.simulatedCurve.points.push_back(
-                pointFromJournal(hook->priorExact.at(s)));
-          hook->summary->pointsReused += static_cast<i64>(sizes.size());
-          reconstructed = true;
-        } else {
-          // Partial journal: the engine reruns below (and recounts the
-          // footprint itself); committed points are still reused.
-          result.distinctElements = 0;
+          result.simulationStats.fidelity = simcore::Fidelity::Symbolic;
+          result.simulationStats.totalEvents = result.Ctot;
+          result.simulationStats.simulatedEvents = 0;
+          result.simulationStats.distinct = result.distinctElements;
+          result.curveFidelity = simcore::Fidelity::Symbolic;
+          assembleCurve(result, plannedSizes(), h);
+          symbolicDone = true;
+        } else if (opts.engine == SimEngine::Symbolic) {
+          throw SymbolicRejectError{
+              sym.status().message() +
+              " (the simulated sweep is OPT; analytic::symbolicReuseCurve "
+              "serves LRU curves directly)"};
         }
       }
-      if (!reconstructed) {
-        // Top fidelity rung: the symbolic engine answers the whole OPT
-        // stack-distance histogram in closed form when the signal's read
-        // stream is a covered trace class — no trace walked, query time
-        // independent of the iteration counts. Values are byte-identical
-        // to the folded/streamed engines (pinned by tests and fuzzing);
-        // only the fidelity tag differs. Auto falls through to the fold
-        // path on rejection; SimEngine::Symbolic makes rejection fatal.
-        bool symbolicDone = false;
-        if (opts.engine == SimEngine::Auto ||
-            opts.engine == SimEngine::Symbolic) {
-          auto sym = analytic::symbolicStackHistogram(pn, signal,
-                                                      simcore::Policy::Opt);
-          if (sym.hasValue()) {
-            const simcore::StackHistogram& h = sym->hist;
-            DR_REQUIRE_MSG(h.accesses == result.Ctot,
-                           "symbolic engine disagrees with the cursor on "
-                           "the stream length");
-            result.distinctElements = h.distinct();
-            result.simulationStats.folded = false;
-            result.simulationStats.exact = true;
-            result.simulationStats.completed = true;
-            result.simulationStats.fidelity = simcore::Fidelity::Symbolic;
-            result.simulationStats.totalEvents = result.Ctot;
-            result.simulationStats.simulatedEvents = 0;
-            result.simulationStats.distinct = result.distinctElements;
-            const std::vector<i64> sizes = plannedSizes();
-            result.curveFidelity = simcore::Fidelity::Symbolic;
-            if (hook && hook->writer && !hook->hasMeta)
-              (void)hook->writer->appendMeta(metaFromStats(result));
-            assembleCurve(result, sizes, result.curveFidelity, hook,
-                          [&](i64 s) { return h.resultAt(s); });
-            symbolicDone = true;
-          } else if (opts.engine == SimEngine::Symbolic) {
-            throw SymbolicRejectError{
-                sym.status().message() +
-                " (the simulated sweep is OPT; analytic::symbolicReuseCurve "
-                "serves LRU curves directly)"};
-          }
-        }
-        if (!symbolicDone) {
-          dr::trace::TraceCursor cursor(pn, map, filter);
-          const dr::trace::PeriodInfo period =
-              dr::trace::detectPeriod(cursor.nests());
-          simcore::FoldedCurveOptions foldOpts;
-          foldOpts.budget = opts.budget;
-          foldOpts.runGranularity = opts.runGranularity;
-          const simcore::StackHistogram h = simcore::foldedStackHistogram(
-              cursor, period, simcore::Policy::Opt, &result.simulationStats,
-              foldOpts);
-          result.distinctElements = h.distinct();
-          // The degraded rungs count no exact footprint: an approximate
-          // fold extrapolates it, an unfinished stream never counted it.
-          // The level-0 windows count it without a trace — a single nest's
-          // level-0 knee, or the union over the nests reading the signal.
-          auto readFootprint = [&] {
-            if (result.kneesPerNest.size() == 1 &&
-                !result.kneesPerNest.front().empty())
-              return result.kneesPerNest.front().front().workingSetMax;
-            return analytic::distinctReadElements(pn, map, signal);
-          };
-          if (!result.simulationStats.completed) {
-            result.simulatedCurve = analyticFallbackCurve(result);
-            result.curveFidelity = simcore::Fidelity::Analytic;
+      if (!symbolicDone) {
+        dr::trace::TraceCursor cursor(pn, map, filter);
+        const dr::trace::PeriodInfo period =
+            dr::trace::detectPeriod(cursor.nests());
+        simcore::FoldedCurveOptions foldOpts;
+        foldOpts.budget = opts.budget;
+        foldOpts.runGranularity = opts.runGranularity;
+        const simcore::StackHistogram h = simcore::foldedStackHistogram(
+            cursor, period, simcore::Policy::Opt, &result.simulationStats,
+            foldOpts);
+        result.distinctElements = h.distinct();
+        // The degraded rungs count no exact footprint: an approximate
+        // fold extrapolates it, an unfinished stream never counted it.
+        // The level-0 windows count it without a trace — a single nest's
+        // level-0 knee, or the union over the nests reading the signal.
+        auto readFootprint = [&] {
+          if (result.kneesPerNest.size() == 1 &&
+              !result.kneesPerNest.front().empty())
+            return result.kneesPerNest.front().front().workingSetMax;
+          return analytic::distinctReadElements(pn, map, signal);
+        };
+        if (!result.simulationStats.completed) {
+          result.simulatedCurve = analyticFallbackCurve(result);
+          result.curveFidelity = simcore::Fidelity::Analytic;
+          result.distinctElements = readFootprint();
+          result.simulationStats.distinct = result.distinctElements;
+        } else {
+          if (result.simulationStats.fidelity ==
+              simcore::Fidelity::ApproxFold) {
             result.distinctElements = readFootprint();
             result.simulationStats.distinct = result.distinctElements;
-            // Ladder re-entry only for the missing points: a prior run's
-            // committed exact points overlay the closed-form curve, each
-            // keeping its exact tag. Nothing new is journaled on a
-            // degraded run.
-            if (hook && !hook->priorExact.empty()) {
-              std::map<i64, simcore::ReusePoint> merged;
-              for (const simcore::ReusePoint& pt :
-                   result.simulatedCurve.points)
-                merged[pt.size] = pt;
-              for (const auto& [size, jp] : hook->priorExact)
-                merged[size] = pointFromJournal(jp);
-              result.simulatedCurve.points.clear();
-              for (const auto& [size, pt] : merged) {
-                (void)size;
-                result.simulatedCurve.points.push_back(pt);
-              }
-              hook->summary->pointsReused +=
-                  static_cast<i64>(hook->priorExact.size());
-            }
-          } else {
-            if (result.simulationStats.fidelity ==
-                simcore::Fidelity::ApproxFold)
-              result.distinctElements = readFootprint();
-            const std::vector<i64> sizes = plannedSizes();
-            result.curveFidelity = result.simulationStats.fidelity;
-            if (hook && hook->writer && !hook->hasMeta &&
-                fidelityIsExact(
-                    static_cast<std::uint8_t>(result.curveFidelity)))
-              (void)hook->writer->appendMeta(metaFromStats(result));
-            assembleCurve(result, sizes, result.curveFidelity, hook,
-                          [&](i64 s) { return h.resultAt(s); });
           }
+          result.curveFidelity = result.simulationStats.fidelity;
+          assembleCurve(result, plannedSizes(), h);
         }
-      }
-    } else {
-      const std::vector<i64> sizes = plannedSizes();
-      result.curveFidelity = simcore::Fidelity::ExactStream;
-      if (!hook) {
-        result.simulatedCurve = simcore::simulateReuseCurve(trace, sizes);
-      } else {
-        // The materialized oracle journals too: one OPT stack pass (the
-        // same engine simulateReuseCurve uses) answers every size.
-        const dr::trace::DenseTrace dense = dr::trace::densify(trace);
-        const simcore::OptStackDistances stack(dense);
-        if (hook->writer && !hook->hasMeta)
-          (void)hook->writer->appendMeta(metaFromStats(result));
-        assembleCurve(result, sizes, result.curveFidelity, hook,
-                      [&](i64 s) { return stack.resultAt(s); });
       }
     }
   }
@@ -690,6 +556,25 @@ support::Status validateSignalRequest(const Program& p, int signal) {
         "signal '" + p.signals[static_cast<std::size_t>(signal)].name +
             "' is never read");
   return support::Status::ok();
+}
+
+/// Run `explore`, converting the input-driven exceptions into statuses:
+/// a strict symbolic rejection, checked arithmetic giving out on the
+/// requested bounds (8K+ frames on deep level products), and allocation
+/// failure.
+template <class Explore>
+support::Expected<SignalExploration> runChecked(const Explore& explore) {
+  try {
+    return explore();
+  } catch (const SymbolicRejectError& e) {
+    return support::Status::error(support::StatusCode::InvalidInput,
+                                  e.reason);
+  } catch (const support::OverflowError& e) {
+    return support::Status::error(support::StatusCode::Overflow, e.what());
+  } catch (const std::bad_alloc&) {
+    return support::Status::error(support::StatusCode::BudgetExceeded,
+                                  "allocation failed during exploration");
+  }
 }
 
 }  // namespace
@@ -795,19 +680,7 @@ support::Expected<SignalExploration> exploreSignalChecked(
     const Program& p, int signal, const ExploreOptions& opts) {
   if (support::Status st = validateSignalRequest(p, signal); !st.isOk())
     return st;
-  try {
-    return exploreSignal(p, signal, opts);
-  } catch (const SymbolicRejectError& e) {
-    return support::Status::error(support::StatusCode::InvalidInput,
-                                  e.reason);
-  } catch (const support::OverflowError& e) {
-    // Checked arithmetic gave out on the requested bounds (8K+ frames on
-    // deep level products): a property of the input, reported as such.
-    return support::Status::error(support::StatusCode::Overflow, e.what());
-  } catch (const std::bad_alloc&) {
-    return support::Status::error(support::StatusCode::BudgetExceeded,
-                                  "allocation failed during exploration");
-  }
+  return runChecked([&] { return exploreSignal(p, signal, opts); });
 }
 
 support::Expected<SignalExploration> exploreSignalChecked(
@@ -821,81 +694,53 @@ support::Expected<SignalExploration> exploreSignalChecked(
   if (resume.journalPath.empty())
     return support::Status::error(support::StatusCode::InvalidInput,
                                   "ResumeContext.journalPath is empty");
-  if (resume.commitEveryPoints < 1)
-    return support::Status::error(support::StatusCode::InvalidInput,
-                                  "ResumeContext.commitEveryPoints must be "
-                                  ">= 1");
+  const std::uint64_t configHash = exploreConfigHash(p, signal, opts);
 
-  support::JournalHeader header;
-  header.configHash = exploreConfigHash(p, signal, opts);
-  header.description =
-      "signal=" + p.signals[static_cast<std::size_t>(signal)].name +
-      " engine=" + std::to_string(static_cast<int>(opts.engine));
-
-  // Load the prior journal, if asked to and one exists. Any rejection —
-  // unreadable, corrupt beyond the header, version skew, or a config-hash
-  // mismatch — restarts clean and records why; it never aborts the run.
-  std::optional<support::JournalContents> prior;
-  if (resume.resume) {
-    const bool exists =
-        std::ifstream(resume.journalPath, std::ios::binary).good();
-    if (exists) {
-      auto loaded = support::loadJournal(resume.journalPath);
-      if (!loaded.hasValue()) {
-        summary->restarted = true;
-        summary->restartReason = loaded.status().message();
-      } else if (loaded->header.configHash != header.configHash) {
-        summary->restarted = true;
-        summary->restartReason =
-            "journal belongs to a different kernel/engine configuration "
-            "(config hash mismatch)";
-      } else {
-        prior = std::move(*loaded);
-        summary->journalLoaded = true;
-        summary->droppedTailBytes = prior->droppedTailBytes;
-      }
-    }
-  }
-
-  std::optional<support::JournalWriter> writer;
-  if (prior) {
-    auto w = support::JournalWriter::resumeAt(resume.journalPath, *prior,
-                                              resume.commitEveryPoints);
-    if (!w.hasValue()) return w.status();
-    writer.emplace(std::move(*w));
-  } else {
-    auto w = support::JournalWriter::create(resume.journalPath, header,
-                                            resume.commitEveryPoints);
-    if (!w.hasValue()) return w.status();
-    writer.emplace(std::move(*w));
+  // Load the prior record, if asked to and one exists. Any rejection —
+  // unreadable, torn, corrupt, version skew, or a config-hash mismatch —
+  // restarts clean and records why; it never aborts the run.
+  std::optional<support::JournalRecord> prior;
+  if (resume.resume &&
+      std::ifstream(resume.journalPath, std::ios::binary).good()) {
+    auto loaded = support::loadJournal(resume.journalPath);
+    if (!loaded.hasValue())
+      summary->restartReason = loaded.status().message();
+    else if (loaded->configHash != configHash)
+      summary->restartReason =
+          "journal belongs to a different kernel/engine configuration "
+          "(config hash mismatch)";
+    else
+      prior = std::move(*loaded);
+    summary->journalLoaded = prior.has_value();
+    summary->restarted = !prior;
   }
 
   JournalHook hook;
-  hook.writer = &*writer;
-  hook.summary = summary;
-  if (prior) {
-    hook.hasMeta = prior->hasMeta;
-    hook.meta = prior->meta;
-    // Only exact rungs are reusable; a Failed record never enters the
-    // map, so its point is retried on resume. Append order means the
-    // last record per size wins (a retried point supersedes its failure).
-    for (const support::JournalPoint& jp : prior->points)
-      if (fidelityIsExact(jp.fidelity)) hook.priorExact[jp.size] = jp;
+  hook.record = prior ? &*prior : nullptr;
+  auto ex = runChecked(
+      [&] { return exploreSignalImpl(p, signal, opts, &hook); });
+  if (!ex.hasValue()) return ex;
+  const i64 points = static_cast<i64>(ex->simulatedCurve.points.size());
+  if (hook.replayed) {
+    summary->pointsReused = points;
+    return ex;
   }
-
-  try {
-    SignalExploration result = exploreSignalImpl(p, signal, opts, &hook);
-    if (support::Status st = writer->close(); !st.isOk()) return st;
-    return result;
-  } catch (const SymbolicRejectError& e) {
-    return support::Status::error(support::StatusCode::InvalidInput,
-                                  e.reason);
-  } catch (const support::OverflowError& e) {
-    return support::Status::error(support::StatusCode::Overflow, e.what());
-  } catch (const std::bad_alloc&) {
-    return support::Status::error(support::StatusCode::BudgetExceeded,
-                                  "allocation failed during exploration");
+  if (prior && opts.runSimulation) {
+    summary->journalLoaded = false;
+    summary->restarted = true;
+    summary->restartReason =
+        "journal record does not cover the planned curve sizes";
   }
+  if (ex->curveFidelity != simcore::Fidelity::Analytic)
+    summary->pointsRecomputed = points;
+  // One durable write per exact curve; a degraded run writes nothing, so
+  // a later run redoes it at full fidelity.
+  if (points == 0 || !simcore::isExact(ex->curveFidelity)) return ex;
+  if (support::Status st = support::writeJournal(
+          resume.journalPath, recordOf(*ex, configHash));
+      !st.isOk())
+    return st;
+  return ex;
 }
 
 }  // namespace dr::explorer

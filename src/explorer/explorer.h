@@ -152,9 +152,9 @@ void designChains(const loopir::Program& p, SignalExploration& exploration,
 /// and the journal format/code versions — everything that determines the
 /// resulting curve, and nothing that doesn't (budgets are excluded, so a
 /// budgeted run may reuse an unbudgeted result). This is the key of the
-/// PR 4 journal header, of the service result cache (src/service/), and
-/// of explore_kernel's --cache-dir warm files: equal hashes mean the
-/// cached curve answers the request byte-identically.
+/// journal record, of the service result cache (src/service/), and of
+/// explore_kernel's --cache-dir warm files: equal hashes mean the cached
+/// curve answers the request byte-identically.
 std::uint64_t exploreConfigHash(const loopir::Program& p, int signal,
                                 const ExploreOptions& opts = {});
 
@@ -168,46 +168,42 @@ std::uint64_t exploreConfigHash(const loopir::Program& p, int signal,
 support::Expected<SignalExploration> exploreSignalChecked(
     const loopir::Program& p, int signal, const ExploreOptions& opts = {});
 
-/// Crash-safe resumption of the simulated sweep through a run journal
-/// (support/journal.h). The journal persists one CRC-checksummed record
-/// per completed *exact* curve point (plus the stream totals), under a
-/// header hashing the kernel, signal, engine configuration, and code
-/// version.
+/// Durable reuse of the simulated curve through a journal file
+/// (support/journal.h): one CRC-checksummed record per curve — its
+/// points and stream totals — under the request's config hash (kernel,
+/// signal, engine configuration, code version).
 struct ResumeContext {
   std::string journalPath;
-  /// True: load an existing journal at journalPath and skip its committed
-  /// points, re-entering the degradation ladder only for missing ones.
-  /// False: always start a fresh journal (overwriting atomically).
+  /// True: load an existing record at journalPath and, when it answers
+  /// this request, skip the engine pass. False: ignore it and recompute.
   bool resume = true;
-  /// Point appends between fsync'd commit markers. 1 makes every point
-  /// durable the moment it lands; larger values batch the fsyncs.
+  /// No effect: every curve is written with one fsync. Kept so existing
+  /// positional initializers ({path, resume, 1}) still compile.
   support::i64 commitEveryPoints = 1;
 };
 
 /// What a journaled exploration did — for the CLI's one-line summary.
 struct ResumeSummary {
-  bool journalLoaded = false;  ///< an existing journal parsed successfully
-  /// The existing journal was rejected (header/config mismatch, version
-  /// skew, corruption) and the run restarted clean; restartReason says
-  /// why. Never set on a fresh run with no prior journal.
+  bool journalLoaded = false;  ///< a prior record answered this run
+  /// An existing file was rejected (torn or corrupt record, version skew,
+  /// config mismatch, or a record that does not cover the planned sizes)
+  /// and the curve was recomputed; restartReason says why. Never set on a
+  /// fresh run with no prior file.
   bool restarted = false;
   std::string restartReason;
-  support::i64 pointsReused = 0;      ///< curve points taken from the journal
+  support::i64 pointsReused = 0;      ///< curve points taken from the record
   support::i64 pointsRecomputed = 0;  ///< curve points computed this run
-  support::i64 pointsFailed = 0;      ///< tasks that exhausted their retries
-  /// Torn bytes discarded from the loaded journal's tail (crash debris).
-  support::i64 droppedTailBytes = 0;
 };
 
-/// exploreSignalChecked with a durable journal: on restart the journal
-/// header is validated against the current request (mismatch => clean
-/// restart, with summary.restartReason explaining why), already-journaled
-/// points are skipped, and only missing points re-enter the degradation
-/// ladder. Only exact points (Fidelity::Symbolic/ExactStream/ExactFold)
-/// are made durable — a degraded run journals nothing, so a later resume
-/// redoes it at full fidelity. Journal I/O failures surface as StatusCode::IoError.
-/// A resumed run's curve is byte-identical to an uninterrupted one
-/// (pinned by tests/test_resume.cpp).
+/// exploreSignalChecked with a durable journal: a prior record whose
+/// config hash, read count and planned sizes match replaces the engine
+/// pass; anything else restarts clean (summary.restartReason says why).
+/// A freshly computed exact curve (Fidelity::Symbolic/ExactStream/
+/// ExactFold) is written once, atomically (temp file, fsync, rename), so
+/// the path holds a complete record or nothing new. A degraded run writes
+/// nothing, so a later run redoes it at full fidelity. A failed write
+/// surfaces as StatusCode::IoError. A replayed curve is byte-identical to
+/// a computed one (pinned by tests/test_resume.cpp).
 support::Expected<SignalExploration> exploreSignalChecked(
     const loopir::Program& p, int signal, const ExploreOptions& opts,
     const ResumeContext& resume, ResumeSummary* summary = nullptr);

@@ -54,10 +54,8 @@ ObjectCurve objectCurveFromExploration(const explorer::SignalExploration& e) {
   c.Ctot = e.Ctot;
   c.distinctElements = e.distinctElements;
   c.fidelity = e.curveFidelity;
-  for (const simcore::ReusePoint& pt : e.simulatedCurve.points) {
-    if (pt.fidelity == simcore::Fidelity::Failed) continue;  // no counts
+  for (const simcore::ReusePoint& pt : e.simulatedCurve.points)
     appendStep(c, pt.size, pt.writes);
-  }
   return c;
 }
 
@@ -163,11 +161,8 @@ support::Expected<AdvisorReport> adviseKernelChecked(
         opts.journalPathFor
             ? explorer::exploreSignalChecked(
                   p, signal, opts.explore,
-                  explorer::ResumeContext{
-                      opts.journalPathFor(
-                          explorer::exploreConfigHash(p, signal,
-                                                      opts.explore)),
-                      /*resume=*/true, /*commitEveryPoints=*/8})
+                  explorer::ResumeContext{opts.journalPathFor(
+                      explorer::exploreConfigHash(p, signal, opts.explore))})
             : explorer::exploreSignalChecked(p, signal, opts.explore);
     if (!e.hasValue()) {
       Status s = e.status();

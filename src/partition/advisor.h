@@ -34,8 +34,8 @@ struct AdvisorOptions {
   explorer::ExploreOptions explore;
   /// Optional warm-journal location per exploration config hash (the
   /// service's warmJournalPath, explore_kernel's --cache-dir). When
-  /// set, per-signal explorations run journaled: committed curve points
-  /// are reused across runs and newly computed exact ones persisted.
+  /// set, per-signal explorations run journaled: a matching curve record
+  /// is replayed across runs and a newly computed exact curve persisted.
   std::function<std::string(std::uint64_t)> journalPathFor;
 };
 

@@ -44,14 +44,6 @@ std::string signalReport(const loopir::Program& program,
       s += std::string(" (budget tripped: ") +
            dr::support::budgetTripName(ex.simulationStats.trippedBy) + ")";
     s += "\n";
-    // Points whose isolated task exhausted its retries carry no counts;
-    // call them out so a partially-failed sweep is never read as exact.
-    i64 failedPoints = 0;
-    for (const auto& pt : ex.simulatedCurve.points)
-      if (pt.fidelity == simcore::Fidelity::Failed) ++failedPoints;
-    if (failedPoints > 0)
-      s += "* failed curve points (task retries exhausted): " +
-           num(failedPoints) + "\n";
   }
   s += "* maximum reuse factor: " +
        fmtDouble(static_cast<double>(ex.Ctot) /

@@ -17,28 +17,6 @@
 
 namespace dr::service {
 
-namespace {
-
-bool fidelityIsExact(std::uint8_t f) {
-  return f == static_cast<std::uint8_t>(simcore::Fidelity::Symbolic) ||
-         f == static_cast<std::uint8_t>(simcore::Fidelity::ExactStream) ||
-         f == static_cast<std::uint8_t>(simcore::Fidelity::ExactFold);
-}
-
-/// A curve is cacheable only when every point carries an exact rung: a
-/// degraded or partially-failed sweep answers this request but must not
-/// answer the next one.
-bool curveIsExact(const explorer::SignalExploration& ex) {
-  if (!fidelityIsExact(static_cast<std::uint8_t>(ex.curveFidelity)))
-    return false;
-  for (const simcore::ReusePoint& pt : ex.simulatedCurve.points)
-    if (!fidelityIsExact(static_cast<std::uint8_t>(pt.fidelity)))
-      return false;
-  return true;
-}
-
-}  // namespace
-
 std::string warmJournalPath(const std::string& dir, std::uint64_t hash) {
   static const char* kHex = "0123456789abcdef";
   std::string name(16, '0');
@@ -117,8 +95,8 @@ support::Expected<CachedCurve> ResultCache::getOrCompute(
   }
 
   // Miss: compute through the journaled resume path when a warm layer
-  // exists (a complete journal reconstructs with zero simulation and the
-  // file doubles as the persistence write), plain otherwise.
+  // exists (a matching record replays with zero simulation, and a fresh
+  // exact curve is written for the next process), plain otherwise.
   explorer::ResumeSummary summary;
   bool journaled = !opts_.warmDir.empty();
   support::Expected<explorer::SignalExploration> ex = [&] {
@@ -132,13 +110,10 @@ support::Expected<CachedCurve> ResultCache::getOrCompute(
   if (journaled && !ex.hasValue() &&
       ex.status().code() == support::StatusCode::IoError) {
     // Warm-layer I/O failure (full disk, unwritable dir): the journal is
-    // persistence, not correctness. Quarantine whatever half-written file
-    // is there — a later resume must not trip over it — and degrade to an
-    // unjournaled recompute; the query still gets its exact answer and
+    // persistence, not correctness. The atomic write left the previous
+    // file or none at the path, never a torn one; degrade to an
+    // unjournaled recompute, so the query still gets its exact answer and
     // the failure is a counter (cache_journal_failures), not an error.
-    const std::string path = warmPath(hash);
-    (void)std::rename(path.c_str(), (path + ".corrupt").c_str());
-    (void)std::remove((path + ".tmp").c_str());
     {
       std::lock_guard<std::mutex> lock(mutex_);
       ++journalFailures_;
@@ -158,8 +133,7 @@ support::Expected<CachedCurve> ResultCache::getOrCompute(
   }
 
   const bool warm = journaled && summary.journalLoaded &&
-                    !summary.restarted && summary.pointsRecomputed == 0 &&
-                    summary.pointsFailed == 0;
+                    summary.pointsRecomputed == 0;
   const i64 recomputed =
       journaled ? summary.pointsRecomputed
                 : static_cast<i64>(ex->simulatedCurve.points.size());
@@ -178,7 +152,8 @@ support::Expected<CachedCurve> ResultCache::getOrCompute(
     ++warmHits_;
   else
     ++misses_;
-  if (curveIsExact(*ex)) putLocked(entry);
+  // A degraded curve answers this request but must not answer the next.
+  if (simcore::isExact(ex->curveFidelity)) putLocked(entry);
   return entry;
 }
 
@@ -219,21 +194,14 @@ support::Expected<ScrubReport> scrubWarmDir(const std::string& dir) {
   for (const std::string& name : names) {
     const std::string path = dir + "/" + name;
     ++report.scanned;
-    auto contents = support::loadJournal(path);
-    if (contents.hasValue()) {
-      if (contents->droppedTailBytes == 0) {
-        ++report.clean;
-      } else {
-        // A valid committed prefix with a torn tail is crash debris the
-        // resume machinery truncates safely on its own — count it, keep
-        // the file.
-        ++report.tornTails;
-      }
+    if (support::loadJournal(path).hasValue()) {
+      ++report.clean;
       continue;
     }
-    // No recoverable prefix at all: bad magic, flipped header bytes, an
-    // unreadable file. Move it out of the resolution path so the next
-    // query recomputes instead of re-parsing garbage every time.
+    // Not one complete, CRC-valid record of this format: a torn or
+    // flipped file, an older format, an unreadable file. Move it out of
+    // the resolution path so the next query recomputes instead of
+    // re-parsing it every time.
     const std::string quarantine = path + ".corrupt";
     if (std::rename(path.c_str(), quarantine.c_str()) != 0)
       return Status::error(StatusCode::IoError, "rename " + path + " to " +

@@ -19,18 +19,20 @@
 ///
 ///   - a byte-budgeted in-memory LRU of finished results (the rendered
 ///     canonical CSV plus the headline numbers), served in microseconds;
-///   - an optional persistent *warm* layer: a directory of PR 4 run
-///     journals, one per config hash (`<16-hex-digits>.journal`). A miss
-///     rehydrates through the explorer's resume machinery, so a complete
-///     journal reconstructs the curve with zero simulation, a partial one
-///     (crash debris) computes only its missing points — and every fresh
-///     computation leaves a journal behind for the next process. The CLI
-///     (`explore_kernel --cache-dir`) reads and writes the same files, so
-///     one warm directory serves both doors byte-identically.
+///   - an optional persistent *warm* layer: a directory of journal files,
+///     one per config hash (`<16-hex-digits>.journal`), each holding one
+///     complete curve record (support/journal.h). A miss rehydrates
+///     through the explorer's resume path, so a valid record replays the
+///     curve with zero simulation, and any other file (torn, corrupt, an
+///     older format) is recomputed and overwritten — never partly reused.
+///     Every fresh exact computation leaves a record behind for the next
+///     process. The CLI (`explore_kernel --cache-dir`) reads and writes
+///     the same files, so one warm directory serves both doors
+///     byte-identically.
 ///
 /// Only exact-fidelity curves enter either layer: a budget-degraded run
-/// is answered but never cached (and, by the PR 4 journal contract,
-/// journals nothing), so degradation can never poison a future query.
+/// is answered but never cached (and writes no journal), so degradation
+/// can never poison a future query.
 
 namespace dr::service {
 
@@ -80,26 +82,24 @@ struct CacheStats {
   i64 misses = 0;    ///< required computing at least one curve point
   i64 evictions = 0;
   /// Warm-journal I/O failures (ENOSPC and friends) the cache survived
-  /// by quarantining the file and recomputing without a journal.
+  /// by recomputing without a journal.
   i64 journalFailures = 0;
 };
 
 /// Outcome of one scrubWarmDir pass over a warm cache directory.
 struct ScrubReport {
-  i64 scanned = 0;        ///< *.journal files examined
-  i64 clean = 0;          ///< fully committed, CRC-verified end to end
-  i64 tornTails = 0;      ///< valid committed prefix + discardable tail
-  i64 quarantined = 0;    ///< renamed to *.corrupt (no committed prefix)
+  i64 scanned = 0;      ///< *.journal files examined
+  i64 clean = 0;        ///< one complete, CRC-verified record
+  i64 quarantined = 0;  ///< renamed to *.corrupt (anything else)
   std::vector<std::string> quarantinedFiles;  ///< pre-rename journal paths
 };
 
-/// Integrity sweep over a warm cache directory: CRC-verify every
-/// `*.journal` frame through the journal parser. A file with no valid
-/// committed prefix (bad header, flipped bytes in the first commit, an
-/// unreadable file) is quarantined — renamed to `<name>.corrupt` so the
-/// next query recomputes instead of tripping over it — while a torn tail
-/// after a valid commit is only counted: the resume machinery truncates
-/// those safely on its own. The datareuse_query --scrub flag drives this.
+/// Integrity sweep over a warm cache directory: verify every `*.journal`
+/// file through the journal parser. A file that is not one complete,
+/// CRC-valid record of the current format (torn, flipped bytes, an older
+/// format, unreadable) is quarantined — renamed to `<name>.corrupt` so
+/// the next query recomputes instead of tripping over it. The
+/// datareuse_query --scrub flag drives this.
 support::Expected<ScrubReport> scrubWarmDir(const std::string& dir);
 
 class ResultCache {
@@ -122,10 +122,10 @@ class ResultCache {
   /// Resolve `hash` through every layer: memory, then the warm journal
   /// (with a warmDir), then full computation — the explore request path.
   /// The warm/compute rungs run exploreSignalChecked with a ResumeContext
-  /// on warmPath(hash), so completeness decisions, torn-tail recovery and
-  /// config mismatches all ride the tested PR 4 machinery, and the warm
-  /// file is (re)written as a side effect of computing. Exact results
-  /// land in the memory layer; degraded ones are returned uncached.
+  /// on warmPath(hash), so record validation and config mismatches ride
+  /// the explorer's tested resume path, and the warm file is (re)written
+  /// as a side effect of computing. Exact results land in the memory
+  /// layer; degraded ones are returned uncached.
   /// `simulatedPoints` (optional) reports how many curve points were
   /// actually recomputed — 0 for a hit on any layer. `info` (optional)
   /// reports the engine outcome when a computation ran.

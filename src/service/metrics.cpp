@@ -24,7 +24,6 @@ void Metrics::recordEngine(std::uint8_t fidelity, bool runGranularity,
       add(curvesApproxFold_);
       break;
     case simcore::Fidelity::Analytic:
-    case simcore::Fidelity::Failed:
       add(curvesAnalytic_);
       break;
   }

@@ -34,12 +34,6 @@ using support::fault::FaultSite;
 /// parked on a silent client.
 constexpr int kRecvTimeoutMs = 200;
 
-bool fidelityIsExact(std::uint8_t f) {
-  return f == static_cast<std::uint8_t>(simcore::Fidelity::Symbolic) ||
-         f == static_cast<std::uint8_t>(simcore::Fidelity::ExactStream) ||
-         f == static_cast<std::uint8_t>(simcore::Fidelity::ExactFold);
-}
-
 /// The signal an explore request targets: a named lookup, or the first
 /// signal with a read access when the request leaves the name empty
 /// (matching explore_kernel's default sweep order).
@@ -493,7 +487,8 @@ proto::Reply Server::handleExplore(const proto::ExploreRequest& req,
     metrics_.recordEngine(info.fidelity, info.runGranularity,
                           info.runsDecoded, info.runFastEvents,
                           info.simulatedEvents);
-  if (!fidelityIsExact(result->fidelity)) metrics_.countDegradedReply();
+  if (!simcore::isExact(static_cast<simcore::Fidelity>(result->fidelity)))
+    metrics_.countDegradedReply();
 
   proto::ExploreResult body;
   body.cached = leader ? simulated == 0 : true;
@@ -653,7 +648,8 @@ proto::Reply Server::handleAdvise(const proto::AdviseRequest& req,
   metrics_.recordAdviseSolveUs(report.solveMicros);
   if (report.result.usedFallback) metrics_.countAdviseFallback();
   const auto worst = static_cast<std::uint8_t>(report.worstFidelity);
-  if (!fidelityIsExact(worst)) metrics_.countDegradedReply();
+  const bool exact = simcore::isExact(report.worstFidelity);
+  if (!exact) metrics_.countDegradedReply();
 
   proto::AdviseResult body;
   body.cached = !anyComputed && !noCache;
@@ -662,7 +658,7 @@ proto::Reply Server::handleAdvise(const proto::AdviseRequest& req,
   body.baselineMisses = report.result.baselineMisses;
   body.partitionedMisses = report.result.partitionedMisses;
   body.csv = report::advisorCsv(report);
-  if (!noCache && fidelityIsExact(worst)) {
+  if (!noCache && exact) {
     AdviseEntry entry;
     entry.hash = ahash;
     entry.fidelity = body.fidelity;

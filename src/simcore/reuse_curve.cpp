@@ -17,7 +17,6 @@ const char* fidelityName(Fidelity f) {
     case Fidelity::ExactFold: return "exact-fold";
     case Fidelity::ApproxFold: return "approx-fold";
     case Fidelity::Analytic: return "analytic";
-    case Fidelity::Failed: return "failed";
   }
   return "?";
 }

@@ -26,12 +26,15 @@ enum class Fidelity {
   ExactFold,    ///< steady-state fold, certified cycle => exact counts
   ApproxFold,   ///< fold extrapolated from measured chunks, uncertified
   Analytic,     ///< closed-form footprint/reuse bounds only, no simulation
-  /// The point's task exhausted its retries in an isolated sweep
-  /// (support::parallelForIsolated): no counts exist for it at all
-  /// (writes/reads stay 0), but the rest of the sweep completed — the
-  /// failure is pinned to this point instead of sinking the run.
-  Failed,
 };
+
+/// True for the rungs with exact counts (Symbolic, ExactStream,
+/// ExactFold): the only curves the journal persists and the service
+/// caches.
+constexpr bool isExact(Fidelity f) {
+  return f == Fidelity::Symbolic || f == Fidelity::ExactStream ||
+         f == Fidelity::ExactFold;
+}
 
 /// Human-readable rung name ("exact", "exact-fold", ...).
 const char* fidelityName(Fidelity f);

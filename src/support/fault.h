@@ -29,11 +29,10 @@ enum class FaultSite {
   Alloc,         ///< engine/densifier growth (throws std::bad_alloc)
   DatasetWrite,  ///< dataset file open/write/rename (reports IoError)
   Deadline,      ///< RunBudget deadline check (trips as expired)
-  Task,          ///< isolated sweep task body (fails with Status, retried)
   ServiceIo,     ///< service connection read/write (drops the connection)
   DiskFull,      ///< journal/cache-dir writes (reports ENOSPC as IoError)
 };
-inline constexpr int kFaultSiteCount = 6;
+inline constexpr int kFaultSiteCount = 5;
 
 #ifdef DR_FAULT_INJECT
 

@@ -1,7 +1,6 @@
 #include "support/journal.h"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -9,25 +8,18 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
-#include <utility>
 
-#include "support/contracts.h"
 #include "support/fault.h"
 
 namespace dr::support {
 
 namespace {
 
-constexpr std::uint8_t kRecHeader = 1;
-constexpr std::uint8_t kRecPoint = 2;
-constexpr std::uint8_t kRecCommit = 3;
-constexpr std::uint8_t kRecMeta = 4;
-
 constexpr std::uint32_t kMagic = 0x4C4A5244;  // "DRJL"
 
-/// Upper bound on one record's payload: keeps a corrupted length field
-/// from sending the parser (or a fuzzer) past the buffer in one hop.
-constexpr std::uint32_t kMaxPayload = 1u << 20;
+/// Body bytes before the points: magic, version, config hash, meta.
+constexpr std::size_t kFixedBody = 4 + 4 + 8 + 8 * 8 + 3;
+constexpr std::size_t kPointBytes = 3 * 8;
 
 // --- little-endian scalar encoding (explicit, so journals are portable
 // across hosts and the CRC covers a well-defined byte sequence) ---
@@ -42,35 +34,18 @@ void putU64(std::string& out, std::uint64_t v) {
 
 void putI64(std::string& out, i64 v) { putU64(out, static_cast<std::uint64_t>(v)); }
 
-/// Bounds-checked little-endian reader over a record payload.
+/// Little-endian reader over a buffer whose length the caller checked.
 class Reader {
  public:
   explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool ok() const noexcept { return ok_; }
-  bool atEnd() const noexcept { return pos_ == bytes_.size(); }
 
   std::uint8_t u8() { return static_cast<std::uint8_t>(take(1)); }
   std::uint32_t u32() { return static_cast<std::uint32_t>(take(4)); }
   std::uint64_t u64() { return take(8); }
   i64 i64v() { return static_cast<i64>(take(8)); }
 
-  std::string str(std::uint32_t n) {
-    if (!ok_ || bytes_.size() - pos_ < n) {
-      ok_ = false;
-      return {};
-    }
-    std::string s(bytes_.substr(pos_, n));
-    pos_ += n;
-    return s;
-  }
-
  private:
   std::uint64_t take(std::size_t n) {
-    if (!ok_ || bytes_.size() - pos_ < n) {
-      ok_ = false;
-      return 0;
-    }
     std::uint64_t v = 0;
     for (std::size_t i = 0; i < n; ++i)
       v |= static_cast<std::uint64_t>(
@@ -82,51 +57,10 @@ class Reader {
 
   std::string_view bytes_;
   std::size_t pos_ = 0;
-  bool ok_ = true;
 };
 
-std::string encodeHeader(const JournalHeader& h) {
-  std::string p;
-  putU32(p, kMagic);
-  putU32(p, kJournalFormatVersion);
-  putU64(p, h.configHash);
-  putU32(p, static_cast<std::uint32_t>(h.description.size()));
-  p += h.description;
-  return p;
-}
-
-std::string encodePoint(const JournalPoint& pt) {
-  std::string p;
-  putI64(p, pt.size);
-  putI64(p, pt.writes);
-  putI64(p, pt.reads);
-  p.push_back(static_cast<char>(pt.fidelity));
-  return p;
-}
-
-std::string encodeMeta(const JournalMeta& m) {
-  std::string p;
-  putI64(p, m.Ctot);
-  putI64(p, m.distinct);
-  p.push_back(static_cast<char>(m.fidelity));
-  p.push_back(static_cast<char>(m.folded));
-  p.push_back(static_cast<char>(m.exact));
-  putI64(p, m.totalEvents);
-  putI64(p, m.simulatedEvents);
-  putI64(p, m.period);
-  putI64(p, m.repeatCount);
-  putI64(p, m.warmupEvents);
-  putI64(p, m.foldPeriodChunks);
-  return p;
-}
-
-std::string frameRecord(std::uint8_t type, const std::string& payload) {
-  std::string rec;
-  rec.push_back(static_cast<char>(type));
-  putU32(rec, static_cast<std::uint32_t>(payload.size()));
-  rec += payload;
-  putU32(rec, crc32(rec.data(), rec.size()));
-  return rec;
+Status invalid(const std::string& why) {
+  return Status::error(StatusCode::InvalidInput, why);
 }
 
 Status ioError(const std::string& what) {
@@ -134,15 +68,16 @@ Status ioError(const std::string& what) {
                        what + ": " + std::strerror(errno));
 }
 
-Status writeAll(int fd, const char* data, std::size_t size) {
+Status writeAll(int fd, const std::string& bytes) {
   // The DiskFull probe models ENOSPC on the cache-dir filesystem: the
-  // journal layer must surface a structured IoError (the committed
-  // prefix stays valid), and the service cache above degrades to an
-  // unjournaled recompute instead of failing the query.
+  // write must fail as a structured IoError with no file left behind,
+  // and the service cache above degrades to an unjournaled recompute.
   if (fault::shouldFail(fault::FaultSite::DiskFull)) {
     errno = ENOSPC;
     return ioError("journal write failed");
   }
+  const char* data = bytes.data();
+  std::size_t size = bytes.size();
   while (size > 0) {
     ssize_t n = ::write(fd, data, size);
     if (n < 0) {
@@ -157,107 +92,88 @@ Status writeAll(int fd, const char* data, std::size_t size) {
 
 }  // namespace
 
-Expected<JournalContents> parseJournal(std::string_view bytes) {
-  JournalContents out;
-  bool haveHeader = false;
-  // Records staged since the last commit marker; promoted to `out` only
-  // when a valid commit seals them — the durability contract's "committed
-  // points are exact, the tail is discarded".
-  std::vector<JournalPoint> pendingPoints;
-  bool pendingHasMeta = false;
-  JournalMeta pendingMeta;
-  i64 pointsSealed = 0;
-
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    // Frame: type(1) + len(4) + payload + crc(4).
-    if (bytes.size() - off < 9) break;
-    Reader frame(bytes.substr(off, 5));
-    const std::uint8_t type = frame.u8();
-    const std::uint32_t len = frame.u32();
-    if (len > kMaxPayload || bytes.size() - off - 9 < len) break;
-    const std::string_view payload = bytes.substr(off + 5, len);
-    Reader crcReader(bytes.substr(off + 5 + len, 4));
-    const std::uint32_t storedCrc = crcReader.u32();
-    if (crc32(bytes.data() + off, 5 + len) != storedCrc) break;
-
-    if (!haveHeader) {
-      if (type != kRecHeader) break;
-      Reader r(payload);
-      const std::uint32_t magic = r.u32();
-      const std::uint32_t version = r.u32();
-      out.header.configHash = r.u64();
-      const std::uint32_t descLen = r.u32();
-      out.header.description = r.str(descLen);
-      if (!r.ok() || !r.atEnd() || magic != kMagic) break;
-      if (version != kJournalFormatVersion)
-        return Status::error(
-            StatusCode::InvalidInput,
-            "journal format version " + std::to_string(version) +
-                " != supported " + std::to_string(kJournalFormatVersion));
-      haveHeader = true;
-    } else if (type == kRecPoint) {
-      Reader r(payload);
-      JournalPoint pt;
-      pt.size = r.i64v();
-      pt.writes = r.i64v();
-      pt.reads = r.i64v();
-      pt.fidelity = r.u8();
-      if (!r.ok() || !r.atEnd()) break;
-      pendingPoints.push_back(pt);
-    } else if (type == kRecMeta) {
-      Reader r(payload);
-      JournalMeta m;
-      m.Ctot = r.i64v();
-      m.distinct = r.i64v();
-      m.fidelity = r.u8();
-      m.folded = r.u8();
-      m.exact = r.u8();
-      m.totalEvents = r.i64v();
-      m.simulatedEvents = r.i64v();
-      m.period = r.i64v();
-      m.repeatCount = r.i64v();
-      m.warmupEvents = r.i64v();
-      m.foldPeriodChunks = r.i64v();
-      if (!r.ok() || !r.atEnd()) break;
-      pendingMeta = m;
-      pendingHasMeta = true;
-    } else if (type == kRecCommit) {
-      Reader r(payload);
-      const i64 claimed = static_cast<i64>(r.u64());
-      if (!r.ok() || !r.atEnd()) break;
-      // The marker's point count cross-checks the record sequence: a
-      // mismatch means records were lost or reordered, so the commit (and
-      // everything after) is untrustworthy.
-      const i64 sealing =
-          pointsSealed + static_cast<i64>(pendingPoints.size());
-      if (claimed != sealing) break;
-      out.points.insert(out.points.end(), pendingPoints.begin(),
-                        pendingPoints.end());
-      pendingPoints.clear();
-      if (pendingHasMeta) {
-        out.meta = pendingMeta;
-        out.hasMeta = true;
-        pendingHasMeta = false;
-      }
-      pointsSealed = sealing;
-      out.committedBytes = static_cast<i64>(off + 9 + len);
-      ++out.commitCount;
-    } else {
-      break;  // unknown record type: treat as corruption, stop here
-    }
-    off += 9 + len;
+std::string encodeJournal(const JournalRecord& record) {
+  std::string body;
+  body.reserve(kFixedBody + kPointBytes * record.points.size());
+  putU32(body, kMagic);
+  putU32(body, kJournalFormatVersion);
+  putU64(body, record.configHash);
+  const JournalMeta& m = record.meta;
+  putI64(body, m.Ctot);
+  putI64(body, m.distinct);
+  body.push_back(static_cast<char>(m.fidelity));
+  body.push_back(static_cast<char>(m.folded));
+  body.push_back(static_cast<char>(m.exact));
+  putI64(body, m.totalEvents);
+  putI64(body, m.simulatedEvents);
+  putI64(body, m.period);
+  putI64(body, m.repeatCount);
+  putI64(body, m.warmupEvents);
+  putI64(body, m.foldPeriodChunks);
+  for (const JournalPoint& pt : record.points) {
+    putI64(body, pt.size);
+    putI64(body, pt.writes);
+    putI64(body, pt.reads);
   }
-
-  if (out.commitCount == 0)
-    return Status::error(StatusCode::InvalidInput,
-                         "no committed journal header found");
-  out.droppedTailBytes =
-      static_cast<i64>(bytes.size()) - out.committedBytes;
+  std::string out;
+  putU32(out, static_cast<std::uint32_t>(body.size()));
+  out += body;
+  putU32(out, crc32(out.data(), out.size()));
   return out;
 }
 
-Expected<JournalContents> loadJournal(const std::string& path) {
+Expected<JournalRecord> parseJournal(std::string_view bytes) {
+  // The frame must cover the image exactly: a strict prefix (a crash
+  // mid-write) or trailing debris never passes for a record.
+  if (bytes.size() < 8 + kFixedBody)
+    return invalid("journal is truncated (" + std::to_string(bytes.size()) +
+                   " bytes)");
+  const std::uint64_t bodyLen = Reader(bytes).u32();
+  if (bodyLen != bytes.size() - 8)
+    return invalid("journal frame length " + std::to_string(bodyLen) +
+                   " does not match the file (" +
+                   std::to_string(bytes.size()) + " bytes)");
+  if (crc32(bytes.data(), bytes.size() - 4) !=
+      Reader(bytes.substr(bytes.size() - 4)).u32())
+    return invalid("journal CRC mismatch");
+
+  const std::string_view body = bytes.substr(4, bodyLen);
+  Reader r(body);
+  if (r.u32() != kMagic) return invalid("not a journal (bad magic)");
+  const std::uint32_t version = r.u32();
+  if (version != kJournalFormatVersion)
+    return invalid("journal format version " + std::to_string(version) +
+                   " != supported " + std::to_string(kJournalFormatVersion));
+  if ((body.size() - kFixedBody) % kPointBytes != 0)
+    return invalid("journal body is not a whole number of points");
+
+  JournalRecord out;
+  out.configHash = r.u64();
+  JournalMeta& m = out.meta;
+  m.Ctot = r.i64v();
+  m.distinct = r.i64v();
+  m.fidelity = r.u8();
+  m.folded = r.u8();
+  m.exact = r.u8();
+  m.totalEvents = r.i64v();
+  m.simulatedEvents = r.i64v();
+  m.period = r.i64v();
+  m.repeatCount = r.i64v();
+  m.warmupEvents = r.i64v();
+  m.foldPeriodChunks = r.i64v();
+  out.points.resize((body.size() - kFixedBody) / kPointBytes);
+  for (JournalPoint& pt : out.points) {
+    pt.size = r.i64v();
+    pt.writes = r.i64v();
+    pt.reads = r.i64v();
+  }
+  for (std::size_t i = 1; i < out.points.size(); ++i)
+    if (out.points[i - 1].size >= out.points[i].size)
+      return invalid("journal points are not in ascending size order");
+  return out;
+}
+
+Expected<JournalRecord> loadJournal(const std::string& path) {
   std::ifstream f(path, std::ios::binary);
   if (!f.good())
     return Status::error(StatusCode::IoError,
@@ -267,147 +183,22 @@ Expected<JournalContents> loadJournal(const std::string& path) {
   if (f.bad())
     return Status::error(StatusCode::IoError,
                          "cannot read journal: " + path);
-  const std::string bytes = ss.str();
-  return parseJournal(bytes);
+  return parseJournal(ss.str());
 }
 
-// --- JournalWriter ---
-
-JournalWriter::JournalWriter(JournalWriter&& o) noexcept {
-  // Moving while another thread appends is a caller bug; no lock needed.
-  fd_ = std::exchange(o.fd_, -1);
-  pointsAppended_ = o.pointsAppended_;
-  pointsSinceCommit_ = o.pointsSinceCommit_;
-  recordsSinceCommit_ = o.recordsSinceCommit_;
-  commitEveryPoints_ = o.commitEveryPoints_;
-}
-
-JournalWriter::~JournalWriter() {
-  if (fd_ >= 0) (void)close();
-}
-
-Expected<JournalWriter> JournalWriter::create(const std::string& path,
-                                              const JournalHeader& header,
-                                              i64 commitEveryPoints) {
-  DR_REQUIRE(commitEveryPoints >= 1);
-  // Same temp+rename discipline as DataSet::writeFile: the header lands
-  // in a same-directory temp file first, so a crash mid-create leaves any
-  // previous journal at `path` untouched and never a torn header. The fd
-  // survives the rename (same inode), so appends continue at `path`.
+Status writeJournal(const std::string& path, const JournalRecord& record) {
+  // Same temp+rename discipline as DataSet::writeFile: a crash at any
+  // byte leaves at most a stray temp file, never a torn record at `path`.
   const std::string tmp = path + ".tmp";
-  if (fault::shouldFail(fault::FaultSite::DiskFull)) {
-    errno = ENOSPC;
-    return ioError("cannot create journal " + tmp);
-  }
-  int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) return ioError("cannot create journal " + tmp);
-
-  JournalWriter w;
-  w.fd_ = fd;
-  w.commitEveryPoints_ = commitEveryPoints;
-  {
-    std::lock_guard<std::mutex> lock(w.mutex_);
-    Status st = w.appendRecordLocked(kRecHeader, encodeHeader(header));
-    if (st.isOk()) st = w.commitLocked();
-    if (!st.isOk()) {
-      ::close(std::exchange(w.fd_, -1));
-      std::remove(tmp.c_str());
-      return st;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    Status st = ioError("cannot rename " + tmp + " to " + path);
-    ::close(std::exchange(w.fd_, -1));
-    std::remove(tmp.c_str());
-    return st;
-  }
-  return w;
-}
-
-Expected<JournalWriter> JournalWriter::resumeAt(
-    const std::string& path, const JournalContents& contents,
-    i64 commitEveryPoints) {
-  DR_REQUIRE(commitEveryPoints >= 1);
-  DR_REQUIRE(contents.committedBytes > 0);
-  int fd = ::open(path.c_str(), O_WRONLY);
-  if (fd < 0) return ioError("cannot open journal " + path);
-  // Physically discard the torn tail so the on-disk file is exactly its
-  // committed prefix before any new record lands after it.
-  if (::ftruncate(fd, static_cast<off_t>(contents.committedBytes)) != 0) {
-    Status st = ioError("cannot truncate journal " + path);
-    ::close(fd);
-    return st;
-  }
-  if (::lseek(fd, 0, SEEK_END) < 0) {
-    Status st = ioError("cannot seek journal " + path);
-    ::close(fd);
-    return st;
-  }
-  JournalWriter w;
-  w.fd_ = fd;
-  w.commitEveryPoints_ = commitEveryPoints;
-  w.pointsAppended_ = static_cast<i64>(contents.points.size());
-  return w;
-}
-
-Status JournalWriter::appendRecordLocked(std::uint8_t type,
-                                         const std::string& payload) {
-  if (fd_ < 0)
-    return Status::error(StatusCode::IoError, "journal writer is closed");
-  const std::string rec = frameRecord(type, payload);
-  Status st = writeAll(fd_, rec.data(), rec.size());
-  if (st.isOk()) ++recordsSinceCommit_;
+  Status st = writeAll(fd, encodeJournal(record));
+  if (st.isOk() && ::fsync(fd) != 0) st = ioError("journal fsync failed");
+  if (::close(fd) != 0 && st.isOk()) st = ioError("journal close failed");
+  if (st.isOk() && std::rename(tmp.c_str(), path.c_str()) != 0)
+    st = ioError("cannot rename " + tmp + " to " + path);
+  if (!st.isOk()) std::remove(tmp.c_str());
   return st;
-}
-
-Status JournalWriter::commitLocked() {
-  if (fd_ < 0)
-    return Status::error(StatusCode::IoError, "journal writer is closed");
-  if (recordsSinceCommit_ == 0) return Status::ok();
-  std::string payload;
-  putU64(payload, static_cast<std::uint64_t>(pointsAppended_));
-  Status st = appendRecordLocked(kRecCommit, payload);
-  if (!st.isOk()) return st;
-  if (::fsync(fd_) != 0) return ioError("journal fsync failed");
-  pointsSinceCommit_ = 0;
-  recordsSinceCommit_ = 0;
-  return Status::ok();
-}
-
-Status JournalWriter::appendPoint(const JournalPoint& pt) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Status st = appendRecordLocked(kRecPoint, encodePoint(pt));
-  if (!st.isOk()) return st;
-  ++pointsAppended_;
-  ++pointsSinceCommit_;
-  if (pointsSinceCommit_ >= commitEveryPoints_) return commitLocked();
-  return Status::ok();
-}
-
-Status JournalWriter::appendMeta(const JournalMeta& meta) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Status st = appendRecordLocked(kRecMeta, encodeMeta(meta));
-  if (!st.isOk()) return st;
-  return commitLocked();
-}
-
-Status JournalWriter::commit() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return commitLocked();
-}
-
-Status JournalWriter::close() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (fd_ < 0) return Status::ok();
-  Status st = commitLocked();
-  if (::close(std::exchange(fd_, -1)) != 0 && st.isOk())
-    st = ioError("journal close failed");
-  return st;
-}
-
-i64 JournalWriter::pointsAppended() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return pointsAppended_;
 }
 
 }  // namespace dr::support

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,73 +10,50 @@
 #include "support/status.h"
 
 /// \file journal.h
-/// Crash-safe run journal for long exploration sweeps: an append-only,
-/// CRC-checksummed record stream persisting every completed curve point
-/// so an interrupted run (crash, OOM kill, budget trip) resumes from its
-/// durable prefix instead of discarding hours of exact OPT/LRU work.
+/// Durable curve file for exploration results: one CRC-checksummed record
+/// holding a whole simulated reuse curve, so a later run (or another
+/// process sharing a cache directory) answers the same request without
+/// re-walking the trace. Every exact fidelity rung builds the full curve
+/// at once, so the curve is the unit of durability: it is written whole
+/// or not at all.
 ///
-/// File layout: one Header record, then Meta/Point records interleaved
-/// with Commit markers. Every record is framed
+/// File layout, little-endian:
 ///
-///   [u8 type][u32 payloadLen][payload bytes][u32 crc32(type|len|payload)]
+///   [u32 bodyLen][body][u32 crc32(bodyLen|body)]
+///   body = u32 magic | u32 version | u64 configHash | JournalMeta
+///          | (i64 size, i64 writes, i64 reads) per point, ascending size
 ///
-/// so any torn or corrupted suffix is detected on load. Durability
-/// contract (see CONTRIBUTING.md "Durability semantics"):
-///   - the file is *created* via the same-directory temp+rename
-///     discipline DataSet uses, so a half-written header never exists at
-///     the journal path;
-///   - Commit markers are fsync'd; everything up to the last valid Commit
-///     is durable, everything after it (a torn tail from a crash
-///     mid-append) is detected, reported, and truncated on load — never
-///     silently replayed and never double-counted;
-///   - a resuming writer physically truncates the file back to the last
-///     commit before appending, so the committed prefix of a journal only
-///     ever grows.
-///
-/// Writes are single-writer, mutex-guarded: one JournalWriter may be
-/// shared by a whole parallel sweep (the per-point tasks of the explorer
-/// append concurrently), with the record stream staying a clean sequence.
+/// Durability contract (see CONTRIBUTING.md "Durability semantics"):
+///   - writeJournal stages the bytes in a same-directory temp file,
+///     fsyncs once and renames it into place, so the path only ever holds
+///     a complete record, the previous file, or nothing;
+///   - parseJournal accepts an image only if its frame length covers the
+///     file exactly and its CRC, magic and version check; every strict
+///     prefix and every flipped byte is rejected, never partly replayed.
 
 namespace dr::support {
 
-// crc32() historically lived here; it is now shared with the service
-// protocol framing and declared in support/hash.h (included above).
-
 /// Journal format version; bump on any framing/payload layout change.
-/// A loaded journal with a different version is rejected (clean restart).
-inline constexpr std::uint32_t kJournalFormatVersion = 1;
+/// A file with a different version is rejected (clean restart).
+inline constexpr std::uint32_t kJournalFormatVersion = 2;
 
-/// Identifies the run a journal belongs to. `configHash` must cover
-/// everything that determines the journaled results (kernel text, signal,
-/// engine configuration, size-grid parameters, and an engine code-version
-/// constant) — a mismatch on load means the journal answers a different
-/// question and is discarded.
-struct JournalHeader {
-  std::uint64_t configHash = 0;
-  std::string description;  ///< free-form, for humans ("kernel=..., signal=...")
-
-  bool operator==(const JournalHeader&) const = default;
-};
-
-/// One durable curve point: exact miss counts for one copy size.
-/// `fidelity` stores the simcore::Fidelity rung as a raw byte so support/
-/// stays below simcore/ in the dependency order.
+/// One curve point: exact miss counts for one copy size.
 struct JournalPoint {
   i64 size = 0;
   i64 writes = 0;  ///< C_j: misses / fills of the copy
   i64 reads = 0;   ///< C_tot served
-  std::uint8_t fidelity = 0;
 
   bool operator==(const JournalPoint&) const = default;
 };
 
-/// Stream-level totals, written once the simulation engine finished its
-/// pass: lets a resumed run reconstruct the curve (and skip the engine
-/// entirely) without re-walking the trace.
+/// Stream-level totals and the curve's rung: with the points they
+/// reconstruct the curve stage's result without running an engine.
+/// `fidelity` stores the simcore::Fidelity rung as a raw byte so support/
+/// stays below simcore/ in the dependency order.
 struct JournalMeta {
   i64 Ctot = 0;
   i64 distinct = 0;
-  std::uint8_t fidelity = 0;  ///< ladder rung of the journaled run
+  std::uint8_t fidelity = 0;  ///< ladder rung of the whole curve
   std::uint8_t folded = 0;
   std::uint8_t exact = 1;
   i64 totalEvents = 0;
@@ -90,82 +66,32 @@ struct JournalMeta {
   bool operator==(const JournalMeta&) const = default;
 };
 
-/// Everything recoverable from a journal file: the committed prefix.
-struct JournalContents {
-  JournalHeader header;
-  bool hasMeta = false;
+/// The one record of a journal file. `configHash` identifies the request
+/// it answers: it must cover everything that determines the curve
+/// (kernel text, signal, engine configuration, size-grid parameters, and
+/// a code-version constant), so a mismatch means a different question.
+struct JournalRecord {
+  std::uint64_t configHash = 0;
   JournalMeta meta;
-  std::vector<JournalPoint> points;  ///< append order (may repeat a size)
-  /// Byte offset just past the last valid Commit record — where a
-  /// resuming writer truncates to before appending.
-  i64 committedBytes = 0;
-  /// Bytes past the last commit that were dropped (torn tail, uncommitted
-  /// records, or corruption). 0 for a cleanly closed journal.
-  i64 droppedTailBytes = 0;
-  i64 commitCount = 0;
+  std::vector<JournalPoint> points;  ///< ascending by size
+
+  bool operator==(const JournalRecord&) const = default;
 };
 
-/// Parse journal bytes (the whole file) into their committed prefix.
-/// Tolerates — by truncating at — any torn/corrupt suffix; fails only
-/// when no valid committed header exists at all (wrong magic, bad CRC on
-/// the first records, version mismatch). Never throws on arbitrary bytes.
-Expected<JournalContents> parseJournal(std::string_view bytes);
+/// The exact file image of `record`.
+std::string encodeJournal(const JournalRecord& record);
+
+/// Decode a whole file image. InvalidInput with a reason for anything but
+/// one complete, CRC-valid record of this format version. Never throws
+/// on arbitrary bytes.
+Expected<JournalRecord> parseJournal(std::string_view bytes);
 
 /// Read and parse a journal file. IoError when the file cannot be read.
-Expected<JournalContents> loadJournal(const std::string& path);
+Expected<JournalRecord> loadJournal(const std::string& path);
 
-/// Append-only journal writer. Create() stages the header through a
-/// same-directory temp file and renames it into place (the fd survives
-/// the rename, so appends continue on the final path); resumeAt() reopens
-/// an existing journal and truncates it back to its committed prefix.
-/// All appends are mutex-guarded; commit() fsyncs.
-class JournalWriter {
- public:
-  JournalWriter(JournalWriter&& o) noexcept;
-  JournalWriter& operator=(JournalWriter&&) = delete;
-  JournalWriter(const JournalWriter&) = delete;
-  ~JournalWriter();  ///< best-effort commit + close
-
-  /// Start a fresh journal at `path` (replacing any previous file only
-  /// once the new header is durable). `commitEveryPoints` controls how
-  /// many point appends ride between automatic fsync'd commit markers.
-  static Expected<JournalWriter> create(const std::string& path,
-                                        const JournalHeader& header,
-                                        i64 commitEveryPoints = 1);
-
-  /// Continue an existing journal: truncate to `contents.committedBytes`
-  /// (discarding any torn tail) and append after it.
-  static Expected<JournalWriter> resumeAt(const std::string& path,
-                                          const JournalContents& contents,
-                                          i64 commitEveryPoints = 1);
-
-  /// Thread-safe appends. Points are auto-committed every
-  /// `commitEveryPoints` appends; meta records commit immediately.
-  Status appendPoint(const JournalPoint& pt);
-  Status appendMeta(const JournalMeta& meta);
-
-  /// Write a commit marker and fsync: everything appended so far becomes
-  /// durable. Idempotent when nothing is pending.
-  Status commit();
-
-  /// Final commit + close; further appends are an error. Called by the
-  /// destructor if not called explicitly (errors then ignored).
-  Status close();
-
-  i64 pointsAppended() const;
-
- private:
-  JournalWriter() = default;
-
-  Status appendRecordLocked(std::uint8_t type, const std::string& payload);
-  Status commitLocked();
-
-  mutable std::mutex mutex_;
-  int fd_ = -1;
-  i64 pointsAppended_ = 0;
-  i64 pointsSinceCommit_ = 0;
-  i64 recordsSinceCommit_ = 0;
-  i64 commitEveryPoints_ = 1;
-};
+/// Write `record` to `path` atomically: temp file `<path>.tmp`, one
+/// fsync, rename. On failure (IoError) the temp file is removed and
+/// whatever was at `path` before is untouched.
+Status writeJournal(const std::string& path, const JournalRecord& record);
 
 }  // namespace dr::support

@@ -11,7 +11,6 @@
 
 #include "support/budget.h"
 #include "support/contracts.h"
-#include "support/rng.h"
 
 namespace dr::support {
 
@@ -163,58 +162,6 @@ void parallelFor(i64 n, const RunBudget* budget,
   // index that has not started yet while in-flight ones finish normally.
   parallelFor(
       n, [&](i64 i) { if (!budget->tripped()) fn(i); }, threads);
-}
-
-std::vector<Status> parallelForIsolated(
-    i64 n, const IsolatedOptions& opts,
-    const std::function<Status(i64, int)>& fn, int threads) {
-  DR_REQUIRE(n >= 0);
-  DR_REQUIRE(opts.maxAttempts >= 1);
-  DR_REQUIRE(static_cast<bool>(fn));
-  std::vector<Status> results(static_cast<std::size_t>(n));
-  // Each task writes only its own slot, so the result vector is as
-  // deterministic as the tasks themselves; the plain parallelFor carries
-  // no exceptions here because every attempt is wrapped below.
-  parallelFor(
-      n,
-      [&](i64 i) {
-        Status& slot = results[static_cast<std::size_t>(i)];
-        if (opts.budget != nullptr && opts.budget->tripped()) {
-          slot = opts.budget->toStatus();
-          return;
-        }
-        for (int attempt = 1; attempt <= opts.maxAttempts; ++attempt) {
-          try {
-            slot = fn(i, attempt);
-          } catch (const std::exception& e) {
-            slot = Status::error(StatusCode::Internal,
-                                 std::string("task threw: ") + e.what());
-          } catch (...) {
-            slot = Status::error(StatusCode::Internal,
-                                 "task threw a non-exception object");
-          }
-          if (slot.isOk()) return;
-          if (attempt == opts.maxAttempts) return;  // exhausted: isolated
-          if (opts.budget != nullptr && opts.budget->tripped()) {
-            // A tripped budget ends the retry ladder early; the task's
-            // own failure stays the recorded outcome.
-            return;
-          }
-          if (opts.backoffBase.count() > 0) {
-            Rng rng(mixSeed(opts.seed, static_cast<std::uint64_t>(i),
-                            static_cast<std::uint64_t>(attempt)));
-            const double scale =
-                static_cast<double>(1LL << (attempt - 1)) *
-                (1.0 + rng.uniform01());
-            std::this_thread::sleep_for(std::chrono::microseconds(
-                static_cast<i64>(static_cast<double>(
-                                     opts.backoffBase.count()) *
-                                 scale)));
-          }
-        }
-      },
-      threads);
-  return results;
 }
 
 }  // namespace dr::support

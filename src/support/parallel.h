@@ -1,11 +1,8 @@
 #pragma once
 
-#include <chrono>
 #include <functional>
-#include <vector>
 
 #include "support/intmath.h"
-#include "support/status.h"
 
 /// \file parallel.h
 /// Minimal deterministic parallelism for the exploration sweeps: a lazily
@@ -43,35 +40,5 @@ void parallelFor(i64 n, const std::function<void(i64)>& fn, int threads = 0);
 /// deterministic. `budget` may be null (plain sweep).
 void parallelFor(i64 n, const RunBudget* budget,
                  const std::function<void(i64)>& fn, int threads = 0);
-
-/// Retry/isolation policy for parallelForIsolated.
-struct IsolatedOptions {
-  /// Total attempts per task (first run + retries). >= 1.
-  int maxAttempts = 3;
-  /// Backoff before retry r (1-based) sleeps
-  /// backoffBase * 2^(r-1) * (1 + jitter), jitter in [0, 1) drawn from
-  /// Rng(mixSeed(seed, index, r)) — deterministic per (task, attempt)
-  /// regardless of thread scheduling. Zero (the default) never sleeps.
-  std::chrono::microseconds backoffBase{0};
-  std::uint64_t seed = 0;  ///< jitter stream seed
-  /// Optional budget: tasks claimed after a trip are not attempted (their
-  /// slot records the budget's Status), and a tripped budget stops
-  /// further retries of a failing task.
-  const RunBudget* budget = nullptr;
-};
-
-/// Fault-isolated sweep: runs fn(i, attempt) for every i in [0, n), where
-/// a task that returns a failed Status — or throws — is retried up to
-/// `maxAttempts` times with deterministic backoff, and a task that
-/// exhausts its retries poisons only its own result slot, never the
-/// sweep: the returned vector holds every task's final Status (Ok on any
-/// successful attempt), in index order. Exceptions are captured as
-/// StatusCode::Internal. This call itself never throws on task failure;
-/// callers mark failed indices in their own per-index output (e.g.
-/// Fidelity::Failed journal/report points) and carry on.
-std::vector<Status> parallelForIsolated(
-    i64 n, const IsolatedOptions& opts,
-    const std::function<Status(i64 index, int attempt)>& fn,
-    int threads = 0);
 
 }  // namespace dr::support

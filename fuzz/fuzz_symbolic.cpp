@@ -9,11 +9,19 @@
 // is byte-identity: any difference in access count, cold misses, or any
 // histogram bin — or any crash / contract violation inside the
 // classifier — is a bug. Rejections are free; wrong accepts are not.
+//
+// The same nests also pin the curve stage's closed forms to their walks:
+// the target aborts when multiLevelPoints differs from
+// multiLevelPointsByWalk for a read access, or workingSetKnees from
+// workingSetKneesByWalk for the nest's read group (on the nest as decoded
+// and normalized), in any field.
 
 #include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "analytic/curve.h"
+#include "analytic/footprint.h"
 #include "analytic/symbolic_hist.h"
 #include "fuzz_util.h"
 #include "loopir/normalize.h"
@@ -112,6 +120,36 @@ void checkPolicy(const dr::loopir::Program& p,
     std::abort();
 }
 
+void checkMultiLevel(const dr::loopir::Program& pn) {
+  const dr::loopir::LoopNest& nest = pn.nests[0];
+  for (const dr::loopir::ArrayAccess& acc : nest.body) {
+    const auto fast = dr::analytic::multiLevelPoints(nest, acc);
+    const auto walk = dr::analytic::multiLevelPointsByWalk(nest, acc);
+    if (fast.size() != walk.size()) std::abort();
+    for (std::size_t l = 0; l < fast.size(); ++l)
+      if (fast[l].level != walk[l].level || fast[l].size != walk[l].size ||
+          fast[l].misses != walk[l].misses || fast[l].Ctot != walk[l].Ctot ||
+          fast[l].FR != walk[l].FR || fast[l].exact != walk[l].exact)
+        std::abort();
+  }
+}
+
+void checkKnees(const dr::loopir::Program& p) {
+  const dr::trace::AddressMap map(p);
+  std::vector<int> group;
+  for (std::size_t a = 0; a < p.nests[0].body.size(); ++a)
+    group.push_back(static_cast<int>(a));  // every access reads X
+  const auto fast = dr::analytic::workingSetKnees(p, map, 0, group);
+  const auto walk = dr::analytic::workingSetKneesByWalk(p, map, 0, group);
+  if (fast.size() != walk.size()) std::abort();
+  for (std::size_t l = 0; l < fast.size(); ++l)
+    if (fast[l].level != walk[l].level ||
+        fast[l].workingSetMax != walk[l].workingSetMax ||
+        fast[l].misses != walk[l].misses || fast[l].Ctot != walk[l].Ctot ||
+        fast[l].FR != walk[l].FR)
+      std::abort();
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -120,5 +158,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const dr::loopir::Program pn = dr::loopir::normalized(p);
   checkPolicy(p, pn, dr::simcore::Policy::Lru);
   checkPolicy(p, pn, dr::simcore::Policy::Opt);
+  checkMultiLevel(pn);
+  checkKnees(p);
+  checkKnees(pn);
   return 0;
 }

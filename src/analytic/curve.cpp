@@ -4,8 +4,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <unordered_set>
 
+#include "analytic/footprint.h"
 #include "support/contracts.h"
 #include "support/strings.h"
 #include "trace/stream.h"
@@ -274,13 +276,30 @@ std::vector<LevelKnee> workingSetKnees(const loopir::Program& p,
   // An empty iteration space is left to the walk, whatever it counts.
   const int countedLevels = Ctot == 0 ? 0 : std::min(depth, shared + 1);
 
+  // A group reading through one index expression reads one index tuple
+  // set per window; the padded address map is injective, so |S_l| is the
+  // tuple count, which the per-dimension shapes give wherever no inner
+  // iterator drives two dimensions.
+  const loopir::LoopNest& loopNest = p.nests[static_cast<std::size_t>(nestIdx)];
+  const loopir::ArrayAccess& first =
+      loopNest.body[static_cast<std::size_t>(accessIndices.front())];
+  bool oneExpression = true;
+  for (int a : accessIndices) {
+    const loopir::ArrayAccess& acc = loopNest.body[static_cast<std::size_t>(a)];
+    oneExpression = oneExpression && acc.signal == first.signal &&
+                    acc.indices == first.indices;
+  }
+
   // Every level-l window is a translate of the first, so one count of the
   // first gives the largest window and, times the outer iterations, the
   // fills.
   i64 outerIterations = 1;
   for (int l = 0; l < countedLevels; ++l) {
     LevelKnee& knee = knees[static_cast<std::size_t>(l)];
-    knee.workingSetMax = countDistinct({firstWindow(nest, l)});
+    const std::optional<i64> shaped =
+        oneExpression ? windowFootprint(loopNest, first, l) : std::nullopt;
+    knee.workingSetMax =
+        shaped ? *shaped : countDistinct({firstWindow(nest, l)});
     knee.misses = dr::support::checkedMul(outerIterations, knee.workingSetMax);
     knee.Ctot = Ctot;
     outerIterations = dr::support::checkedMul(

@@ -13,9 +13,13 @@
 /// carries reuse under the pair model, the maximum-reuse point (Section
 /// 6.1) plus the partial-reuse points with and without bypass (Section
 /// 6.2). Levels the closed-form model cannot see (multi-loop interactions,
-/// the paper's listed future work) are covered by the working-set knee
-/// counter, the library's equivalent of the paper's simulation fallback
-/// ("for other kind of expressions we will rely on simulation", §5.1).
+/// the paper's listed future work) are covered by the working-set knees,
+/// the library's equivalent of the paper's simulation fallback ("for other
+/// kind of expressions we will rely on simulation", §5.1). The knees too
+/// come from the loop description where it allows: no walk of the
+/// iteration space runs on the query path for a single-expression group,
+/// and workingSetKneesByWalk is kept as the oracle tests and fuzzing
+/// compare against.
 
 namespace dr::analytic {
 
@@ -62,10 +66,14 @@ struct LevelKnee {
 /// identical index expressions — pass all their indices) of one nest.
 /// Exact counting, no replacement model. At each level where every access
 /// has the same address coefficient on every outer loop, each window is a
-/// translate of the first, so only that window is counted (a bitmap over
-/// its address range): workingSetMax = |S_l|, misses = outer iterations *
-/// |S_l|. Levels failing that precondition fall back to the per-element
-/// walk of workingSetKneesByWalk.
+/// translate of the first: workingSetMax = |S_l|, misses = outer
+/// iterations * |S_l|. When the group reads through one index expression
+/// and no inner iterator drives two dimensions, |S_l| is the product of
+/// the dimension shapes (footprint.h, windowFootprint) — the padded
+/// address map is injective — and nothing is walked; otherwise the first
+/// window is counted (a bitmap over its address range). Levels failing
+/// the translate precondition fall back to the per-element walk of
+/// workingSetKneesByWalk.
 std::vector<LevelKnee> workingSetKnees(const loopir::Program& p,
                                        const dr::trace::AddressMap& map,
                                        int nestIdx,

@@ -25,9 +25,16 @@
 ///      elements); only SimEngine::Materialized collects the trace,
 ///   2. produce the analytical curve points per access (max + partial +
 ///      bypass) and the closed-form multi-level footprints,
-///   3. count the working-set knees per loop level,
+///   3. derive the working-set knees per loop level,
 ///   4. produce the simulated (Belady) reuse-factor curve down the
 ///      fidelity ladder (symbolic, streamed/folded, analytic fallback).
+///
+/// Steps 2 and 3 run no walk of the iteration space when each knee group
+/// reads through one index expression (footprint.h, curve.h): footprints,
+/// fills and knee windows come from the loop bounds and coefficients, so
+/// a symbolic-accepted signal explores in time independent of its
+/// iteration counts. The walks stay only as the oracles tests and fuzzing
+/// compare against.
 ///
 /// The design stage, designChains, only for callers that print or use
 /// hierarchies: enumerate copy-candidate chains over those points and

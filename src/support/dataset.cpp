@@ -65,25 +65,31 @@ std::string DataSet::toTable(int precision) const {
   return out;
 }
 
+namespace {
+
+/// One line per row, cells rendered straight into `out`.
+void appendRows(std::string& out, const std::vector<std::vector<double>>& rows,
+                char sep, int precision) {
+  for (const auto& r : rows) {
+    for (std::size_t c = 0; c < r.size(); ++c) {
+      if (c) out += sep;
+      out += fmtDouble(r[c], precision);
+    }
+    out += '\n';
+  }
+}
+
+}  // namespace
+
 std::string DataSet::toCsv(int precision) const {
   std::string out = join(columns_, ",") + "\n";
-  for (const auto& r : rows_) {
-    std::vector<std::string> line;
-    line.reserve(r.size());
-    for (double v : r) line.push_back(fmtDouble(v, precision));
-    out += join(line, ",") + "\n";
-  }
+  appendRows(out, rows_, ',', precision);
   return out;
 }
 
 std::string DataSet::toGnuplot(int precision) const {
   std::string out = "# " + title_ + "\n# " + join(columns_, " ") + "\n";
-  for (const auto& r : rows_) {
-    std::vector<std::string> line;
-    line.reserve(r.size());
-    for (double v : r) line.push_back(fmtDouble(v, precision));
-    out += join(line, " ") + "\n";
-  }
+  appendRows(out, rows_, ' ', precision);
   return out;
 }
 

@@ -1,8 +1,8 @@
 #include "support/strings.h"
 
+#include <algorithm>
 #include <cctype>
-#include <cmath>
-#include <cstdio>
+#include <charconv>
 
 #include "support/contracts.h"
 
@@ -43,9 +43,15 @@ bool startsWith(std::string_view s, std::string_view prefix) {
 
 std::string fmtDouble(double v, int digits) {
   DR_REQUIRE(digits >= 0 && digits <= 17);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", digits, v);
-  return buf;
+  // The widest rendering, -DBL_MAX, has 309 integer digits, a sign, a
+  // point and up to 17 fractional digits.
+  char buf[336];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v,
+                                       std::chars_format::fixed, digits);
+  DR_CHECK(ec == std::errc{});
+  // Cut at 63 characters, as printf into a 64-byte buffer cuts them, so
+  // every rendering stays byte-identical to the printf one.
+  return std::string(buf, std::min<std::ptrdiff_t>(end - buf, 63));
 }
 
 std::string indent(std::string_view body, int spaces) {

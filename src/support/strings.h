@@ -22,7 +22,9 @@ std::vector<std::string> split(std::string_view s, char sep);
 /// True if `s` starts with `prefix`.
 bool startsWith(std::string_view s, std::string_view prefix);
 
-/// Fixed-point decimal rendering with `digits` fractional digits.
+/// Fixed-point decimal rendering with `digits` fractional digits, exactly
+/// as printf's "%.*f" renders it ("nan", "-inf", "-0.000"), cut at 63
+/// characters.
 std::string fmtDouble(double v, int digits = 3);
 
 /// Indent every line of `body` by `spaces` spaces.

@@ -1,11 +1,16 @@
 // Tests for the closed-form multi-level footprint model (the paper's
 // "multiple level hierarchies" extension): per-dimension reachable-offset
 // shapes, shifted-overlap counting, and the multi-level design points
-// validated against Belady simulation. Also the working-set knees'
-// translate-window count, pinned field for field to the per-element walk.
+// validated against Belady simulation. The closed forms on the query path
+// are pinned field for field to their walks: the per-carry-level fills to
+// multiLevelPointsByWalk, the interval shapes to a per-offset
+// construction, and the working-set knees (shape products or one counted
+// translate window per level) to the per-element walk.
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
 #include <string>
 
 #include "analytic/curve.h"
@@ -78,6 +83,83 @@ TEST(DimShapeTest, TwoLoopsCombine) {
   DimShape inner = dimShape(e, nest, 1);
   EXPECT_EQ(inner.count, 3);
   EXPECT_TRUE(inner.contiguous);
+}
+
+/// Reference shape of `e` over loops [level, depth) of `nest`: every value
+/// over the iterator box, as a set, against which count, span and the
+/// overlap at every shift are checked.
+void expectShapeMatchesOffsets(const loopir::AffineExpr& e,
+                               const loopir::LoopNest& nest, int level,
+                               const std::string& what) {
+  SCOPED_TRACE(what);
+  std::set<i64> values{0};
+  for (int d = level; d < nest.depth(); ++d) {
+    const loopir::Loop& loop = nest.loops[static_cast<std::size_t>(d)];
+    std::set<i64> next;
+    for (i64 k = 0; k < loop.tripCount(); ++k)
+      for (i64 v : values) next.insert(v + e.coeff(d) * loop.valueAt(k));
+    values = std::move(next);
+  }
+  const i64 lo = *values.begin();
+  const i64 span = *values.rbegin() - lo + 1;
+  const DimShape shape = dimShape(e, nest, level);
+  ASSERT_EQ(shape.span, span);
+  ASSERT_EQ(shape.count, static_cast<i64>(values.size()));
+  EXPECT_EQ(shape.contiguous, shape.count == shape.span);
+  EXPECT_EQ(shape.reachable.empty(), shape.contiguous);
+  for (i64 delta = -span - 1; delta <= span + 1; ++delta) {
+    i64 overlap = 0;
+    for (i64 v : values) overlap += values.count(v + delta) ? 1 : 0;
+    ASSERT_EQ(shape.overlapWithShift(delta), overlap) << "shift " << delta;
+  }
+}
+
+TEST(DimShapeTest, IntervalPathMatchesPerOffsetConstruction) {
+  auto expr = [](std::vector<i64> coeffs) {
+    loopir::AffineExpr e(3);
+    for (std::size_t d = 0; d < coeffs.size(); ++d)
+      e.setCoeff(static_cast<int>(d), coeffs[d]);
+    return e;
+  };
+  // {0,2,4}: one stride-2 term is sparse from the start.
+  expectShapeMatchesOffsets(expr({2}), simpleNest({{0, 2}}), 0, "{0,2,4}");
+  // {0,1,3,4}: the stride-3 term steps past the reach 2 of the first.
+  expectShapeMatchesOffsets(expr({3, 1}), simpleNest({{0, 1}, {0, 1}}), 0,
+                            "{0,1,3,4}");
+  // An interval only in ascending order: stride 2 (trip 3) after stride 1
+  // (trip 2) covers [0, 5].
+  expectShapeMatchesOffsets(expr({2, 1}), simpleNest({{0, 2}, {0, 1}}), 0,
+                            "ascending order");
+  // Single-trip terms add nothing, whatever their stride.
+  expectShapeMatchesOffsets(expr({9, 1, -40}),
+                            simpleNest({{4, 4}, {0, 3}, {-2, -2}}), 0,
+                            "single-trip strides");
+  expectShapeMatchesOffsets(expr({9, 2}), simpleNest({{4, 4}, {0, 3}}), 0,
+                            "single-trip stride, sparse rest");
+  // Steps scale the stride: i in -3..3 step 3 with coefficient 1 is
+  // {0,3,6}; the stride-1 loop of trip 3 fills it to [0, 8].
+  loopir::LoopNest stepped = simpleNest({{0, 2}});
+  stepped.loops.insert(stepped.loops.begin(), loopir::Loop{"s", -3, 3, 3});
+  expectShapeMatchesOffsets(expr({1}), stepped, 0, "step 3 alone");
+  expectShapeMatchesOffsets(expr({1, 1}), stepped, 0, "step 3 filled");
+  expectShapeMatchesOffsets(expr({-1, 2}), stepped, 0, "step 3, stride 2");
+
+  dr::support::Rng rng(0x5348415045);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int depth = static_cast<int>(rng.uniform(1, 4));
+    loopir::LoopNest nest;
+    loopir::AffineExpr e(rng.uniform(-3, 3));
+    for (int d = 0; d < depth; ++d) {
+      const i64 step = rng.uniform(0, 3) == 0 ? rng.uniform(-3, 3) | 1 : 1;
+      const i64 begin = rng.uniform(-3, 3);
+      const i64 trip = rng.uniform(1, 6);
+      nest.loops.push_back(loopir::Loop{"i" + std::to_string(d), begin,
+                                        begin + step * (trip - 1), step});
+      e.setCoeff(d, rng.uniform(0, 3) == 0 ? 0 : rng.uniform(-5, 5));
+    }
+    expectShapeMatchesOffsets(e, nest, static_cast<int>(rng.uniform(0, depth)),
+                              "trial " + std::to_string(trial));
+  }
 }
 
 TEST(DimShapeTest, NegativeCoefficientsMirror) {
@@ -427,6 +509,170 @@ TEST(KneeOracle, ZeroNegativeCoefficientsAndOffsetBegins) {
       } } }
     })"),
                        "steps");
+}
+
+TEST(KneeOracle, ProductWindowsFromShapes) {
+  // One access, and the same expression read twice: every window is the
+  // product of the dimension shapes (a sparse stride-3 row at level 3).
+  const auto p = dr::frontend::compileKernel(R"(
+    kernel product {
+      array a[40][48];
+      loop t = 0 .. 3 { loop i = 0 .. 5 { loop j = -2 .. 2 { loop k = 0 .. 4 {
+        read a[2 * t + i + 2][3 * k - j + 2];
+        read a[2 * t + i + 2][3 * k - j + 2];
+        read a[i + k][k];
+      } } } }
+    })");
+  const dr::trace::AddressMap map(p);
+  const loopir::LoopNest& nest = p.nests[0];
+  for (const std::vector<int>& group :
+       {std::vector<int>{0}, std::vector<int>{0, 1}}) {
+    const auto knees = workingSetKnees(p, map, 0, group);
+    const auto walk = workingSetKneesByWalk(p, map, 0, group);
+    ASSERT_EQ(knees.size(), 4u);
+    for (int l = 0; l < 4; ++l) {
+      SCOPED_TRACE("group of " + std::to_string(group.size()) + ", level " +
+                   std::to_string(l));
+      const auto ul = static_cast<std::size_t>(l);
+      const std::optional<i64> shaped = windowFootprint(nest, nest.body[0], l);
+      ASSERT_TRUE(shaped.has_value());
+      EXPECT_EQ(knees[ul].workingSetMax, *shaped);
+      EXPECT_EQ(knees[ul].workingSetMax, walk[ul].workingSetMax);
+      EXPECT_EQ(knees[ul].misses, walk[ul].misses);
+      EXPECT_EQ(knees[ul].Ctot, walk[ul].Ctot);
+      EXPECT_EQ(knees[ul].FR, walk[ul].FR);
+    }
+  }
+  // Rows 2t+i+2 by columns 3k-j+2: 12 x 17 at level 0; 1 x {0,3,..,12}
+  // at level 3.
+  EXPECT_EQ(*windowFootprint(nest, nest.body[0], 0), 12 * 17);
+  EXPECT_EQ(*windowFootprint(nest, nest.body[0], 3), 5);
+
+  // a[i + k][k]: k drives both dimensions, so levels up to 3 are no
+  // product (the shapes bound 10 x 5 = 50 tuples where 30 are read at
+  // level 0) and count their first window instead.
+  for (int l = 0; l < 4; ++l)
+    EXPECT_FALSE(windowFootprint(nest, nest.body[2], l).has_value())
+        << "level " << l;
+  const auto coupled = workingSetKnees(p, map, 0, {2});
+  EXPECT_EQ(coupled[0].workingSetMax, 30);
+  EXPECT_EQ(coupled[3].workingSetMax, 5);
+  expectKneesMatchWalk(p, "product");
+}
+
+// --- multi-level points: per-carry-level fills vs the outer walk ---------
+//
+// multiLevelPoints sums the fills over carry levels; multiLevelPointsByWalk
+// walks every outer tuple. They must agree field for field on every read
+// access, `exact` included, whether or not the factorization holds.
+
+/// Every read access of every nest of normalized `p`. Returns the number
+/// of accesses compared.
+int expectMultiLevelMatchesWalk(const loopir::Program& p,
+                                const std::string& what) {
+  int accesses = 0;
+  for (const loopir::LoopNest& nest : loopir::normalized(p).nests)
+    for (std::size_t a = 0; a < nest.body.size(); ++a) {
+      if (nest.body[a].kind != loopir::AccessKind::Read) continue;
+      const auto fast = multiLevelPoints(nest, nest.body[a]);
+      const auto walk = multiLevelPointsByWalk(nest, nest.body[a]);
+      EXPECT_EQ(fast.size(), static_cast<std::size_t>(nest.depth())) << what;
+      EXPECT_EQ(fast.size(), walk.size()) << what;
+      for (std::size_t l = 0; l < std::min(fast.size(), walk.size()); ++l) {
+        SCOPED_TRACE(what + " access " + std::to_string(a) + ", level " +
+                     std::to_string(l));
+        EXPECT_EQ(fast[l].level, walk[l].level);
+        EXPECT_EQ(fast[l].size, walk[l].size);
+        EXPECT_EQ(fast[l].misses, walk[l].misses);
+        EXPECT_EQ(fast[l].Ctot, walk[l].Ctot);
+        EXPECT_EQ(fast[l].FR, walk[l].FR);
+        EXPECT_EQ(fast[l].exact, walk[l].exact);
+      }
+      ++accesses;
+    }
+  return accesses;
+}
+
+TEST(MultiLevelOracle, BuiltInKernels) {
+  expectMultiLevelMatchesWalk(dr::kernels::motionEstimation({}), "me");
+  expectMultiLevelMatchesWalk(dr::kernels::motionEstimation({24, 40, 8, 3}),
+                              "me 24x40");
+  expectMultiLevelMatchesWalk(dr::kernels::conv2d({20, 18, 2}), "conv2d");
+  expectMultiLevelMatchesWalk(dr::kernels::matmul({12, 10}), "matmul");
+  expectMultiLevelMatchesWalk(dr::kernels::susan({24, 20}), "susan");
+  expectMultiLevelMatchesWalk(dr::kernels::waveletLifting({8, 16}),
+                              "wavelet");
+}
+
+TEST(MultiLevelOracle, ExampleKernelFiles) {
+  for (const char* name : {"hfilter", "downsample", "matvec"}) {
+    const std::string path =
+        std::string(DR_EXAMPLE_KERNELS_DIR) + "/" + name + ".krn";
+    EXPECT_GT(expectMultiLevelMatchesWalk(
+                  dr::frontend::compileKernelFile(path), name),
+              0);
+  }
+}
+
+TEST(MultiLevelOracle, SeededColdMixFamilies) {
+  dr::support::Rng rng(0x6d6c6f72);
+  for (int round = 0; round < 64; ++round)
+    for (int family = 0; family < 8; ++family)
+      expectMultiLevelMatchesWalk(drawColdMixKernel(family, rng),
+                                  "family " + std::to_string(family) +
+                                      " round " + std::to_string(round));
+}
+
+TEST(MultiLevelOracle, PreconditionBreakers) {
+  // Two dimensions sharing an inner iterator: not exact, same numbers.
+  const auto shared = dr::frontend::compileKernel(R"(
+    kernel shared {
+      array b[24][24];
+      loop i = 0 .. 4 { loop j = 0 .. 3 { loop k = 0 .. 5 {
+        read b[i + k + 2][2 * k - j + 3];
+        read b[j + i][j + 1];
+      } } }
+    })");
+  for (const auto& acc : shared.nests[0].body)
+    EXPECT_FALSE(multiLevelPoints(shared.nests[0], acc).front().exact);
+  expectMultiLevelMatchesWalk(shared, "shared iterator");
+  expectMultiLevelMatchesWalk(
+      dr::test::genericDoubleLoop(
+          {0, 5, 0, 5}, std::vector<dr::test::DimCoeffs>{{1, 1, 0}, {0, 1, 0}}),
+      "A[j+k][k]");
+
+  // Zero and negative coefficients, offset begins, single-trip loops and
+  // a stride-3 (sparse) dimension.
+  expectMultiLevelMatchesWalk(dr::frontend::compileKernel(R"(
+    kernel signs {
+      array a[64];
+      array b[16][40];
+      loop t = 3 .. 3 { loop i = -2 .. 3 { loop u = 1 .. 1 { loop j = 1 .. 4 {
+        read a[2 * t + 3 * i - j + 20];
+        read a[0 * i + 7];
+        read b[5 - i][30 - 2 * j];
+        read b[u + i + 2][3 * j - 2 * i + 6];
+        read b[i + 4][7 * u + j];
+      } } } }
+    })"),
+                              "signs");
+  expectMultiLevelMatchesWalk(dr::frontend::compileKernel(R"(
+    kernel steps {
+      array a[64];
+      loop i = 9 .. 1 step -2 { loop j = -3 .. 3 step 3 { loop k = 2 .. 6 {
+        read a[4 * i - 2 * k + j + 20];
+      } } }
+    })"),
+                              "steps");
+
+  // Depth 1: one level, the whole footprint filled once.
+  const auto flat = dr::frontend::compileKernel(R"(
+    kernel flat { array a[40]; loop i = 2 .. 11 { read a[3 * i + 1]; } })");
+  EXPECT_EQ(expectMultiLevelMatchesWalk(flat, "depth 1"), 1);
+  const auto pts = multiLevelPoints(flat.nests[0], flat.nests[0].body[0]);
+  ASSERT_EQ(pts.size(), 1u);
+  EXPECT_EQ(pts[0].size, 10);
+  EXPECT_EQ(pts[0].misses, 10);
 }
 
 }  // namespace

@@ -9,7 +9,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "support/budget.h"
@@ -200,6 +203,38 @@ TEST(Strings, FmtAndIndent) {
   EXPECT_EQ(fmtDouble(2.0, 0), "2");
   EXPECT_EQ(indent("a\nb", 2), "  a\n  b");
   EXPECT_EQ(indent("a\n\nb", 2), "  a\n\n  b");  // blank lines stay blank
+}
+
+TEST(Strings, FmtDoubleMatchesPrintfOnEdgeValues) {
+  // fmtDouble renders through std::to_chars; it must print what
+  // snprintf("%.*f") into a 64-byte buffer printed, cut included.
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      limits::quiet_NaN(), -limits::quiet_NaN(), limits::infinity(),
+      -limits::infinity(), 0.0, -0.0, limits::denorm_min(),
+      -limits::denorm_min(), limits::min(), limits::min() / 3, limits::max(),
+      -limits::max(), limits::epsilon(), 1e300, -1e62, 1e61, 1e57,
+      // Halfway cases at 0, 2 and 6 digits, exact and inexact in binary.
+      0.5, 1.5, 2.5, -0.5, 0.125, 0.375, 2.675, 1.005, 0.0000005,
+      0.0000015, 2.5e-6, 1234567.5, 1e-7, 0.1, 0.3, 2.0 / 3,
+      // Integers around 2^53.
+      9007199254740991.0, 9007199254740992.0, 9007199254740993.0,
+      -9007199254740993.0, 4294967296.0, 30369.0, 6.0};
+  for (int i = 0; i < 2000; ++i) {
+    Rng rng(static_cast<std::uint64_t>(i) + 1);
+    values.push_back(std::ldexp(rng.uniform01() - 0.5,
+                                static_cast<int>(rng.uniform(-1074, 1023))));
+    values.push_back(static_cast<double>(rng.uniform(-1000000, 1000000)) /
+                     static_cast<double>(rng.uniform(1, 4096)));
+  }
+  for (int digits : {0, 2, 6, 17})
+    for (double v : values) {
+      char ref[64];
+      std::snprintf(ref, sizeof(ref), "%.*f", digits, v);
+      ASSERT_EQ(fmtDouble(v, digits), std::string(ref))
+          << "digits " << digits << ", value " << std::hexfloat << v;
+    }
+  EXPECT_EQ(fmtDouble(1e300, 6).size(), 63u);
 }
 
 TEST(DataSet, RowsAndRendering) {

@@ -309,37 +309,17 @@ SignalExploration exploreSignalImpl(const Program& p, int signal,
   dr::trace::AddressMap map(pn);
 
   // 1. Trace. The streaming engines (Auto/Streaming) never materialize
-  // it: a TraceCursor provides the totals and — when simulation is on —
-  // one folded OPT stack-distance histogram later answers every curve
-  // size at once. Materialized keeps the original collect-then-simulate
-  // flow as the reference oracle.
+  // it: a TraceCursor provides the read count and — when simulation is
+  // on — one folded OPT stack-distance histogram in step 4 answers every
+  // curve size at once. Materialized keeps the original
+  // collect-then-simulate flow as the reference oracle.
   const bool streaming = opts.engine != SimEngine::Materialized;
   dr::trace::TraceFilter filter;
   filter.signal = signal;  // reads only (the filter's default)
   dr::trace::Trace trace;  // filled on the materialized path only
   if (streaming) {
-    dr::trace::TraceCursor cursor(pn, map, filter);
-    result.Ctot = cursor.length();
+    result.Ctot = dr::trace::TraceCursor(pn, map, filter).length();
     DR_REQUIRE_MSG(result.Ctot > 0, "signal is never read");
-    if (opts.runSimulation) {
-      // The stack engine runs in step 4, unless a journaled prior run's
-      // record answers every planned size (then no engine pass happens).
-    } else {
-      // No stack engine needed: one densifying pass counts the distinct
-      // elements in O(distinct) memory.
-      cursor.attachBudget(opts.budget);
-      const auto [lo, hi] = cursor.addressRange();
-      simcore::StreamingDensifier densifier(lo, hi);
-      std::vector<i64> buf;
-      while (cursor.nextChunk(buf) > 0)
-        for (i64 addr : buf) densifier.idOf(addr);
-      result.distinctElements = densifier.distinct();
-      result.simulationStats.totalEvents = result.Ctot;
-      if (cursor.truncated()) {
-        result.simulationStats.completed = false;
-        result.simulationStats.trippedBy = opts.budget->state();
-      }
-    }
   } else {
     trace = dr::trace::readTrace(pn, map, signal);
     result.Ctot = trace.length();
@@ -428,6 +408,22 @@ SignalExploration exploreSignalImpl(const Program& p, int signal,
     }
   }
 
+  // The read footprint without a trace: a single nest's level-0 knee, or
+  // the union of the level-0 windows over the nests reading the signal.
+  // The streamed explore without simulation counts no footprint, and
+  // neither do the degraded rungs: an approximate fold extrapolates it,
+  // an unfinished stream never counted it.
+  auto readFootprint = [&] {
+    if (result.kneesPerNest.size() == 1 &&
+        !result.kneesPerNest.front().empty())
+      return result.kneesPerNest.front().front().workingSetMax;
+    return analytic::distinctReadElements(pn, map, signal);
+  };
+  if (streaming && !opts.runSimulation) {
+    result.distinctElements = readFootprint();
+    result.simulationStats.totalEvents = result.Ctot;
+  }
+
   // 4. Simulated Belady curve over grid + analytic sizes + knee sizes.
   // The degradation ladder lands here: a budget trip that still produced
   // full-trace counts (certified or approximate fold) keeps the simulated
@@ -508,16 +504,6 @@ SignalExploration exploreSignalImpl(const Program& p, int signal,
             cursor, period, simcore::Policy::Opt, &result.simulationStats,
             foldOpts);
         result.distinctElements = h.distinct();
-        // The degraded rungs count no exact footprint: an approximate
-        // fold extrapolates it, an unfinished stream never counted it.
-        // The level-0 windows count it without a trace — a single nest's
-        // level-0 knee, or the union over the nests reading the signal.
-        auto readFootprint = [&] {
-          if (result.kneesPerNest.size() == 1 &&
-              !result.kneesPerNest.front().empty())
-            return result.kneesPerNest.front().front().workingSetMax;
-          return analytic::distinctReadElements(pn, map, signal);
-        };
         if (!result.simulationStats.completed) {
           result.simulatedCurve = analyticFallbackCurve(result);
           result.curveFidelity = simcore::Fidelity::Analytic;

@@ -21,13 +21,15 @@
 /// size Pareto curve points with and without bypass", Section 6.3). Two
 /// stages. The curve stage, which every exploreSignal* overload returns:
 ///
-///   1. count the signal's reads (and, without simulation, its distinct
-///      elements); only SimEngine::Materialized collects the trace,
+///   1. count the signal's reads; only SimEngine::Materialized collects
+///      the trace,
 ///   2. produce the analytical curve points per access (max + partial +
 ///      bypass) and the closed-form multi-level footprints,
 ///   3. derive the working-set knees per loop level,
 ///   4. produce the simulated (Belady) reuse-factor curve down the
 ///      fidelity ladder (symbolic, streamed/folded, analytic fallback).
+///      Without simulation, the distinct-element count comes from the
+///      level-0 windows of step 3 instead, as on the degraded rungs.
 ///
 /// Steps 2 and 3 run no walk of the iteration space when each knee group
 /// reads through one index expression (footprint.h, curve.h): footprints,

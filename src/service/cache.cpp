@@ -34,6 +34,27 @@ support::Status ensureWarmDir(const std::string& dir) {
       "mkdir " + dir + ": " + std::strerror(errno));
 }
 
+CachedCurve cachedCurveOf(std::uint64_t hash,
+                          const explorer::SignalExploration& ex,
+                          ComputeInfo* info) {
+  if (info) {
+    info->ran = true;
+    info->fidelity = static_cast<std::uint8_t>(ex.curveFidelity);
+    info->runGranularity = ex.simulationStats.runGranularity;
+    info->runsDecoded = ex.simulationStats.runsDecoded;
+    info->runFastEvents = ex.simulationStats.runFastEvents;
+    info->simulatedEvents = ex.simulationStats.simulatedEvents;
+  }
+  CachedCurve entry;
+  entry.configHash = hash;
+  entry.signalName = ex.signalName;
+  entry.Ctot = ex.Ctot;
+  entry.distinctElements = ex.distinctElements;
+  entry.fidelity = static_cast<std::uint8_t>(ex.curveFidelity);
+  entry.csv = report::curveCsv(ex.signalName, ex.simulatedCurve);
+  return entry;
+}
+
 ResultCache::ResultCache(Options opts) : opts_(std::move(opts)) {
   DR_REQUIRE(opts_.maxBytes > 0);
   // Best-effort: a failure here surfaces later as a proper IoError from
@@ -123,14 +144,6 @@ support::Expected<CachedCurve> ResultCache::getOrCompute(
     ex = explorer::exploreSignalChecked(program, signal, opts);
   }
   if (!ex.hasValue()) return ex.status();
-  if (info) {
-    info->ran = true;
-    info->fidelity = static_cast<std::uint8_t>(ex->curveFidelity);
-    info->runGranularity = ex->simulationStats.runGranularity;
-    info->runsDecoded = ex->simulationStats.runsDecoded;
-    info->runFastEvents = ex->simulationStats.runFastEvents;
-    info->simulatedEvents = ex->simulationStats.simulatedEvents;
-  }
 
   const bool warm = journaled && summary.journalLoaded &&
                     summary.pointsRecomputed == 0;
@@ -139,13 +152,7 @@ support::Expected<CachedCurve> ResultCache::getOrCompute(
                 : static_cast<i64>(ex->simulatedCurve.points.size());
   if (simulatedPoints) *simulatedPoints = recomputed;
 
-  CachedCurve entry;
-  entry.configHash = hash;
-  entry.signalName = ex->signalName;
-  entry.Ctot = ex->Ctot;
-  entry.distinctElements = ex->distinctElements;
-  entry.fidelity = static_cast<std::uint8_t>(ex->curveFidelity);
-  entry.csv = report::curveCsv(ex->signalName, ex->simulatedCurve);
+  CachedCurve entry = cachedCurveOf(hash, *ex, info);
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (warm)

@@ -73,6 +73,12 @@ struct ComputeInfo {
   i64 simulatedEvents = 0;
 };
 
+/// The cache entry for one finished exploration of `hash`, and its engine
+/// outcome in `*info` when `info` is not null.
+CachedCurve cachedCurveOf(std::uint64_t hash,
+                          const explorer::SignalExploration& ex,
+                          ComputeInfo* info);
+
 struct CacheStats {
   i64 entries = 0;
   i64 bytes = 0;

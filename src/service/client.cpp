@@ -113,24 +113,11 @@ CircuitBreaker::State CircuitBreaker::state() const {
   return state_;
 }
 
-std::shared_ptr<CircuitBreaker> BreakerRegistry::acquire(
-    const std::string& endpoint, int threshold, i64 cooldownMs) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto it = breakers_.find(endpoint);
-  if (it != breakers_.end()) return it->second;
-  auto breaker = std::make_shared<CircuitBreaker>(threshold, cooldownMs);
-  breakers_.emplace(endpoint, breaker);
-  return breaker;
-}
-
 // ---- Client -------------------------------------------------------------
 
-Client::Client(ClientOptions opts, std::shared_ptr<CircuitBreaker> breaker)
-    : opts_(std::move(opts)), breaker_(std::move(breaker)) {
-  if (!breaker_)
-    breaker_ = std::make_shared<CircuitBreaker>(opts_.breakerThreshold,
-                                                opts_.breakerCooldownMs);
-}
+Client::Client(ClientOptions opts)
+    : opts_(std::move(opts)),
+      breaker_(opts_.breakerThreshold, opts_.breakerCooldownMs) {}
 
 i64 Client::retryDelayMs(const ClientOptions& opts, std::uint64_t callIdx,
                          int attempt, i64 retryAfterMs) {
@@ -222,12 +209,12 @@ Expected<proto::Reply> Client::attemptOnce(proto::Verb verb,
 
 void Client::onTransportFailure() {
   transportFailures_.fetch_add(1, std::memory_order_relaxed);
-  if (breaker_->onFailure())
+  if (breaker_.onFailure())
     breakerTrips_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Client::onTransportSuccess() {
-  if (breaker_->onSuccess())
+  if (breaker_.onSuccess())
     breakerResets_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -267,7 +254,7 @@ Expected<proto::Reply> Client::run(
     // Breaker gate: while open, fast-fail and wait out the cooldown
     // inside the attempt budget instead of burning attempts on a socket
     // we know is dead.
-    i64 gateMs = breaker_->admit();
+    i64 gateMs = breaker_.admit();
     while (gateMs > 0) {
       breakerFastFails_.fetch_add(1, std::memory_order_relaxed);
       lastFailure = Status::error(StatusCode::Unavailable,
@@ -276,7 +263,7 @@ Expected<proto::Reply> Client::run(
       if (deadlineMs > 0 && remaining() <= gateMs)
         return budgetGone(lastFailure);
       if (!sleepFor(gateMs)) return budgetGone(lastFailure);
-      gateMs = breaker_->admit();
+      gateMs = breaker_.admit();
     }
 
     auto reply = attemptOnce(verb, encode(std::max<i64>(0, remaining())));

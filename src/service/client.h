@@ -4,8 +4,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 
@@ -44,11 +42,10 @@
 ///     shedding daemon is alive, and hammering it less is the backoff's
 ///     job, not the breaker's.
 ///
-/// Breaker state is **per endpoint**, not per process: the breaker lives
-/// in a shareable CircuitBreaker object, and a BreakerRegistry hands the
-/// same instance to every Client talking to the same endpoint — so the
-/// router's N clients for one dead shard trip one breaker, and a healthy
-/// shard's breaker never opens because its neighbor died.
+/// The breaker is each Client's own, for standalone callers such as
+/// datareuse_query and the load harness. The shard router builds its
+/// clients with the breaker off: its own up/down marks decide where a
+/// request goes (router.h).
 ///
 /// Thread-safe: one Client may be shared across caller threads (the load
 /// harness does); the breaker and stats are shared state by design —
@@ -93,10 +90,8 @@ struct ClientStats {
   void foldInto(MetricsSnapshot& s) const;
 };
 
-/// Standalone three-state circuit breaker, shareable between the Clients
-/// that talk to one endpoint. Thread-safe; the trip threshold and
-/// cooldown are fixed at construction (the first Client to reach an
-/// endpoint sets them — a registry hands everyone else the same object).
+/// Three-state circuit breaker of one Client. Thread-safe; the trip
+/// threshold and cooldown are fixed at construction.
 class CircuitBreaker {
  public:
   enum class State { Closed, Open, HalfOpen };
@@ -135,30 +130,12 @@ class CircuitBreaker {
   bool probeInFlight_ = false;  ///< HalfOpen admits exactly one probe
 };
 
-/// Process-wide map endpoint -> breaker, so independent Clients (the
-/// router's per-shard pool, a CLI retry loop, the probe path) share one
-/// failure ledger per endpoint. acquire() creates on first sight with
-/// the caller's threshold/cooldown and returns the existing instance
-/// afterwards, whatever its parameters — first configuration wins.
-class BreakerRegistry {
- public:
-  std::shared_ptr<CircuitBreaker> acquire(const std::string& endpoint,
-                                          int threshold, i64 cooldownMs);
-
- private:
-  std::mutex mutex_;
-  std::map<std::string, std::shared_ptr<CircuitBreaker>> breakers_;
-};
-
 class Client {
  public:
   using BreakerState = CircuitBreaker::State;
 
-  /// With no explicit breaker the Client owns a private one built from
-  /// opts.breakerThreshold/breakerCooldownMs. Pass a registry-acquired
-  /// breaker to share trip state across every client of one endpoint.
-  explicit Client(ClientOptions opts,
-                  std::shared_ptr<CircuitBreaker> breaker = nullptr);
+  /// The breaker is built from opts.breakerThreshold/breakerCooldownMs.
+  explicit Client(ClientOptions opts);
 
   Client(const Client&) = delete;
   Client& operator=(const Client&) = delete;
@@ -182,8 +159,7 @@ class Client {
                                        const std::string& payload);
 
   ClientStats stats() const;
-  BreakerState breakerState() const { return breaker_->state(); }
-  const std::shared_ptr<CircuitBreaker>& breaker() const { return breaker_; }
+  BreakerState breakerState() const { return breaker_.state(); }
   const ClientOptions& options() const { return opts_; }
 
   /// The deterministic backoff schedule (exposed for tests): delay before
@@ -209,7 +185,7 @@ class Client {
   void onTransportSuccess();
 
   ClientOptions opts_;
-  std::shared_ptr<CircuitBreaker> breaker_;
+  CircuitBreaker breaker_;
 
   std::atomic<i64> calls_{0};
   std::atomic<i64> retries_{0};

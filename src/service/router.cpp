@@ -1,18 +1,10 @@
 #include "service/router.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <bit>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <set>
+#include <type_traits>
 #include <utility>
 
 #include "explorer/explorer.h"
@@ -29,9 +21,6 @@ using support::Expected;
 using support::Status;
 using support::StatusCode;
 
-constexpr int kRecvTimeoutMs = 200;
-constexpr int kMaxReasonableWorkers = 4096;
-
 /// Retry-after hint when every replica is down or shedding and none of
 /// them offered one: long enough to matter, short enough that a single
 /// restarting shard is retried promptly.
@@ -43,44 +32,34 @@ i64 msSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-proto::Reply errorReply(const Status& status) {
-  proto::Reply reply;
-  reply.code = status.code();
-  reply.message = status.str();
-  return reply;
+/// The forward client of one shard. It carries no breaker: the router's
+/// up/down marks are its one failure detector, and a client breaker would
+/// make a forward to a revived shard sleep out the cooldown instead of
+/// being served.
+ClientOptions forwardClientOptions(const RouterOptions& opts,
+                                   const std::string& spec) {
+  ClientOptions co = opts.client;
+  co.endpoint = spec;
+  co.breakerThreshold = 0;
+  return co;
 }
 
-bool writeAll(int fd, const std::string& bytes) {
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    ssize_t n = ::send(fd, bytes.data() + done, bytes.size() - done,
-#ifdef MSG_NOSIGNAL
-                       MSG_NOSIGNAL
-#else
-                       0
-#endif
-    );
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
+/// The signal a request is placed by: an Explore's own; for an Advise the
+/// kernel's first read signal, whose Explore traffic already warmed the
+/// curves the advisor re-reads.
+const std::string& placementSignal(const proto::ExploreRequest& req) {
+  return req.signal;
+}
+const std::string& placementSignal(const proto::AdviseRequest&) {
+  static const std::string kFirstReadSignal;
+  return kFirstReadSignal;
 }
 
-/// Same default-signal rule as the shard daemon (server.cpp): a named
-/// lookup, or the first signal with a read access. The router resolves it
-/// only to compute the placement hash; the shard re-resolves for real.
-int resolveSignal(const loopir::Program& p, const std::string& name) {
-  if (!name.empty()) return p.findSignal(name);
-  for (std::size_t s = 0; s < p.signals.size(); ++s)
-    for (const auto& nest : p.nests)
-      for (const auto& acc : nest.body)
-        if (acc.signal == static_cast<int>(s) &&
-            acc.kind == loopir::AccessKind::Read)
-          return static_cast<int>(s);
-  return -1;
+Expected<proto::Reply> send(Client& client, const proto::ExploreRequest& req) {
+  return client.explore(req);
+}
+Expected<proto::Reply> send(Client& client, const proto::AdviseRequest& req) {
+  return client.advise(req);
 }
 
 }  // namespace
@@ -160,20 +139,12 @@ Status validateRouterOptions(const RouterOptions& opts) {
     return invalid("healthFailureThreshold must be positive");
   if (opts.hedgeMinDelayMs < 0 || opts.hedgeMaxDelayMs < opts.hedgeMinDelayMs)
     return invalid("hedge delay band is inverted");
-  ClientOptions probe = opts.client;
-  probe.endpoint = opts.shards.front();
-  if (Status st = validateClientOptions(probe); !st.isOk()) return st;
+  if (Status st = validateClientOptions(
+          forwardClientOptions(opts, opts.shards.front()));
+      !st.isOk())
+    return st;
   return validateAdmissionOptions(opts.admission);
 }
-
-namespace {
-
-AdmissionOptions clampedAdmissionOptions(AdmissionOptions o) {
-  o.maxQueueDepth = std::max(1, o.maxQueueDepth);
-  return o;
-}
-
-}  // namespace
 
 // ---- ActivityGate -------------------------------------------------------
 
@@ -198,7 +169,18 @@ void Router::ActivityGate::waitIdle() {
 Router::Router(RouterOptions opts)
     : opts_(std::move(opts)),
       ring_(opts_.shards, opts_.virtualNodes),
-      admission_(clampedAdmissionOptions(opts_.admission)) {}
+      door_(opts_.workers, opts_.admission, metrics_,
+            {"router overloaded", "routing failed", "routing",
+             [this](const proto::ExploreRequest& req, i64 queueWaitMs) {
+               return route(req, queueWaitMs);
+             },
+             [this](const proto::AdviseRequest& req, i64 queueWaitMs) {
+               return route(req, queueWaitMs);
+             },
+             [this] { return render(stats()); },
+             // Drains the router only: the shards are independent fault
+             // domains with their own lifecycles (and Shutdown verbs).
+             [this] { requestShutdown(); }}) {}
 
 Router::~Router() {
   requestShutdown();
@@ -206,274 +188,59 @@ Router::~Router() {
 }
 
 Status Router::start() {
-  DR_REQUIRE_MSG(!started_, "Router::start() called twice");
+  DR_REQUIRE_MSG(!door_.started(), "Router::start() called twice");
   if (Status st = validateRouterOptions(opts_); !st.isOk()) return st;
-
-  auto listenEp = transport::parseEndpoint(opts_.listen,
-                                           /*allowEphemeralPort=*/true);
-  if (!listenEp.hasValue()) return listenEp.status();
-  auto listener = transport::listenOn(*listenEp);
-  if (!listener.hasValue()) return listener.status();
-  listenFd_ = listener->fd;
-  bound_ = listener->bound;
-  if (::pipe(wakeupPipe_) != 0) {
-    Status st = Status::error(StatusCode::IoError,
-                              std::string("pipe: ") + std::strerror(errno));
-    ::close(listenFd_);
-    listenFd_ = -1;
-    return st;
-  }
 
   shards_.reserve(opts_.shards.size());
   for (const std::string& spec : opts_.shards) {
     auto shard = std::make_unique<Shard>();
-    shard->spec = spec;
-    shard->endpoint = *transport::parseEndpoint(spec);
-    ClientOptions co = opts_.client;
-    co.endpoint = spec;
-    // One breaker per endpoint, shared by every client that reaches it —
-    // a dead shard trips its own breaker and nobody else's.
-    shard->client = std::make_unique<Client>(
-        co, breakers_.acquire(spec, co.breakerThreshold,
-                              co.breakerCooldownMs));
-    // Probes bypass the breaker (they *are* the recovery signal) and run
-    // single-attempt on the probe timeout so a dead shard costs one
-    // bounded connect per interval.
+    const ClientOptions co = forwardClientOptions(opts_, spec);
+    shard->client = std::make_unique<Client>(co);
+    // Probes run single-attempt on the probe timeout so a dead shard
+    // costs one bounded connect per interval.
     ClientOptions po = co;
     po.maxAttempts = 1;
-    po.breakerThreshold = 0;
     po.connectTimeoutMs = opts_.healthTimeoutMs;
     po.sendTimeoutMs = opts_.healthTimeoutMs;
     po.recvTimeoutMs = opts_.healthTimeoutMs;
     shard->probeOptions = po;
     shards_.push_back(std::move(shard));
   }
-
-  started_ = true;
-  acceptThread_ = std::thread([this] { acceptLoop(); });
+  if (Status st = door_.start(opts_.listen); !st.isOk()) {
+    shards_.clear();
+    return st;
+  }
   if (opts_.healthIntervalMs > 0)
     probeThread_ = std::thread([this] { probeLoop(); });
-  workers_.reserve(static_cast<std::size_t>(opts_.workers));
-  for (int i = 0; i < opts_.workers; ++i)
-    workers_.emplace_back([this] { workerLoop(); });
   return Status::ok();
 }
 
 void Router::requestShutdown() {
-  bool expected = false;
-  if (!draining_.compare_exchange_strong(expected, true,
-                                         std::memory_order_acq_rel))
-    return;
-  if (wakeupPipe_[1] >= 0) {
-    char byte = 1;
-    [[maybe_unused]] ssize_t n = ::write(wakeupPipe_[1], &byte, 1);
-  }
-  admission_.close();
+  door_.requestShutdown();
   probeWakeCv_.notify_all();
 }
 
 void Router::wait() {
-  if (!started_) return;
-  if (acceptThread_.joinable()) acceptThread_.join();
-  for (std::thread& w : workers_)
-    if (w.joinable()) w.join();
-  workers_.clear();
+  door_.wait();
   if (probeThread_.joinable()) probeThread_.join();
   // Hedge losers may still be draining against their socket timeouts;
   // they hold raw pointers into this object, so wait() must outlast them.
   gate_.waitIdle();
-  for (int& fd : wakeupPipe_)
-    if (fd >= 0) {
-      ::close(fd);
-      fd = -1;
-    }
-  if (bound_.kind == transport::Endpoint::Kind::Unix && !bound_.path.empty())
-    ::unlink(bound_.path.c_str());
-}
-
-// ---- accept / serve -----------------------------------------------------
-
-void Router::acceptLoop() {
-  while (!draining()) {
-    pollfd fds[2];
-    fds[0] = {listenFd_, POLLIN, 0};
-    fds[1] = {wakeupPipe_[0], POLLIN, 0};
-    if (::poll(fds, 2, -1) < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (fds[1].revents != 0 || draining()) break;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    int fd = ::accept(listenFd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    timeval tv{};
-    tv.tv_usec = kRecvTimeoutMs * 1000;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    if (bound_.kind == transport::Endpoint::Kind::Tcp) {
-      int one = 1;
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    }
-    if (!admission_.tryPush(fd)) {
-      shedQueueFull_.fetch_add(1, std::memory_order_relaxed);
-      shedConnection(fd, "router overloaded: admission queue full");
-      continue;
-    }
-  }
-  ::close(listenFd_);
-  listenFd_ = -1;
-  admission_.close();
-}
-
-void Router::shedConnection(int fd, const char* why) {
-  proto::Reply reply;
-  reply.code = StatusCode::Unavailable;
-  reply.message = why;
-  reply.retryAfterMs = retryAfterHintMs(opts_.admission, admission_.depth(),
-                                        opts_.workers, 0);
-  timeval tv{};
-  tv.tv_usec = kRecvTimeoutMs * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-  writeAll(fd, proto::encodeFrame(proto::Verb::Reply,
-                                  proto::encodeReply(reply)));
-  ::close(fd);
-}
-
-void Router::workerLoop() {
-  while (true) {
-    std::optional<QueuedConn> conn = admission_.pop();
-    if (!conn) return;
-    const i64 queueWaitMs =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - conn->admittedAt)
-            .count();
-    try {
-      serveConnection(conn->fd, queueWaitMs);
-    } catch (...) {
-    }
-    ::close(conn->fd);
-  }
-}
-
-void Router::serveConnection(int fd, i64 queueWaitMs) {
-  std::string buffer;
-  char chunk[4096];
-  while (true) {
-    while (true) {
-      proto::FrameParse parse = proto::tryParseFrame(buffer);
-      if (parse.result == proto::ParseResult::Corrupt) {
-        protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-        writeAll(fd, proto::encodeFrame(
-                         proto::Verb::Reply,
-                         proto::encodeReply(errorReply(parse.status))));
-        return;
-      }
-      if (parse.result == proto::ParseResult::NeedMore) break;
-      buffer.erase(0, parse.consumed);
-      requests_.fetch_add(1, std::memory_order_relaxed);
-      bool closeAfter = false;
-      std::string reply;
-      const i64 chargedWaitMs = std::exchange(queueWaitMs, i64{0});
-      try {
-        reply = handleFrame(parse.frame, closeAfter, chargedWaitMs);
-      } catch (const std::exception& e) {
-        reply = proto::encodeFrame(
-            proto::Verb::Reply,
-            proto::encodeReply(errorReply(Status::error(
-                StatusCode::Internal,
-                std::string("routing failed: ") + e.what()))));
-      }
-      if (!writeAll(fd, reply)) return;
-      if (closeAfter) return;
-    }
-    if (draining()) return;
-    ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n > 0) {
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n == 0) return;
-    if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
-    return;
-  }
-}
-
-std::string Router::handleFrame(const proto::Frame& frame, bool& closeAfter,
-                                i64 queueWaitMs) {
-  proto::Reply reply;
-  switch (frame.verb) {
-    case proto::Verb::Explore: {
-      auto req = proto::decodeExploreRequest(frame.payload);
-      if (!req.hasValue()) {
-        protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-        reply = errorReply(req.status());
-      } else {
-        reply = routeExplore(*req, queueWaitMs);
-      }
-      break;
-    }
-    case proto::Verb::Advise: {
-      auto req = proto::decodeAdviseRequest(frame.payload);
-      if (!req.hasValue()) {
-        protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-        reply = errorReply(req.status());
-      } else {
-        reply = routeAdvise(*req, queueWaitMs);
-      }
-      break;
-    }
-    case proto::Verb::Stats:
-      statsRequests_.fetch_add(1, std::memory_order_relaxed);
-      reply.body = render(stats());
-      break;
-    case proto::Verb::Health: {
-      healthRequests_.fetch_add(1, std::memory_order_relaxed);
-      proto::HealthInfo info;
-      info.draining = draining();
-      info.queueDepth = admission_.depth();
-      info.workers = opts_.workers;
-      reply.body = proto::encodeHealthInfo(info);
-      break;
-    }
-    case proto::Verb::Shutdown:
-      // Drains the router only: the shards are independent fault domains
-      // with their own lifecycles (and their own Shutdown verbs).
-      requestShutdown();
-      closeAfter = true;
-      break;
-    case proto::Verb::Reply:
-      protocolErrors_.fetch_add(1, std::memory_order_relaxed);
-      reply = errorReply(Status::error(
-          StatusCode::InvalidInput, "clients may not send Reply frames"));
-      closeAfter = true;
-      break;
-  }
-  return proto::encodeFrame(proto::Verb::Reply, proto::encodeReply(reply));
 }
 
 // ---- routing ------------------------------------------------------------
 
-proto::Reply Router::routeExplore(const proto::ExploreRequest& req,
-                                  i64 queueWaitMs) {
-  exploreRequests_.fetch_add(1, std::memory_order_relaxed);
+template <class Request>
+proto::Reply Router::route(const Request& req, i64 queueWaitMs) {
   const auto t0 = std::chrono::steady_clock::now();
 
   // Same budget contract as the shard daemon: queue wait charges the
   // caller's propagated budget, and a budget that expired in the queue
   // is rejected outright.
-  i64 budgetMs = 0;  // <= 0 = unlimited
-  if (req.deadlineMs > 0) {
-    const i64 remaining =
-        req.remainingBudgetMs > 0 ? req.remainingBudgetMs : req.deadlineMs;
-    budgetMs = remaining - queueWaitMs;
-    if (budgetMs <= 0) {
-      expiredRequests_.fetch_add(1, std::memory_order_relaxed);
-      return errorReply(Status::error(
-          StatusCode::BudgetExceeded,
-          "deadline expired before routing (queued " +
-              std::to_string(queueWaitMs) + "ms of " +
-              std::to_string(remaining) + "ms budget)"));
-    }
-  }
+  auto budget =
+      door_.budgetAfterQueue(req.deadlineMs, req.remainingBudgetMs, queueWaitMs);
+  if (!budget.hasValue()) return errorReply(budget.status());
+  const i64 budgetMs = *budget;  // <= 0 = unlimited
   const auto remainingMs = [&]() -> i64 {
     return budgetMs > 0 ? budgetMs - msSince(t0) : 0;
   };
@@ -483,12 +250,13 @@ proto::Reply Router::routeExplore(const proto::ExploreRequest& req,
   // door without costing a shard anything.
   auto compiled = frontend::compileKernelChecked(req.kernel);
   if (!compiled.hasValue()) return errorReply(compiled.status());
-  const int signal = resolveSignal(*compiled, req.signal);
+  const std::string& name = placementSignal(req);
+  const int signal = resolveSignal(*compiled, name);
   if (signal < 0)
     return errorReply(Status::error(
         StatusCode::InvalidInput,
-        req.signal.empty() ? std::string("kernel has no read signal")
-                           : "no signal named '" + req.signal + "'"));
+        name.empty() ? std::string("kernel has no read signal")
+                     : "no signal named '" + name + "'"));
   const std::uint64_t hash =
       explorer::exploreConfigHash(*compiled, signal, {});
 
@@ -517,30 +285,30 @@ proto::Reply Router::routeExplore(const proto::ExploreRequest& req,
           "deadline exhausted after " + std::to_string(msSince(t0)) +
               "ms of routing; last failure: " + lastFailure.str()));
     }
-    const int primaryIdx = candidates[i];
-    int hedgeIdx = -1;
-    if (opts_.hedge && i + 1 < candidates.size()) hedgeIdx = candidates[i + 1];
-    auto result =
-        forwardWithHedge(req, primaryIdx, hedgeIdx,
-                         budgetMs > 0 ? remainingMs() : i64{0});
+    const i64 leftMs = budgetMs > 0 ? remainingMs() : i64{0};
+    const bool last = i + 1 == candidates.size();
+    Expected<proto::Reply> result = [&] {
+      if constexpr (std::is_same_v<Request, proto::ExploreRequest>)
+        if (opts_.hedge && !last)
+          return forwardWithHedge(req, candidates[i], candidates[i + 1],
+                                  leftMs);
+      return forward(req, candidates[i], leftMs);
+    }();
     if (result.hasValue()) {
       if (result->code != StatusCode::Unavailable) return *result;
       // A shedding shard is alive but refusing; try the next replica and
       // keep its hint in case everyone refuses.
       bestHintMs = std::max(bestHintMs, result->retryAfterMs);
       lastFailure = Status::error(StatusCode::Unavailable, result->message);
-      if (i + 1 < candidates.size())
-        failovers_.fetch_add(1, std::memory_order_relaxed);
+      if (!last) failovers_.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     lastFailure = result.status();
-    if (result.status().code() == StatusCode::BudgetExceeded)
+    // IoError is a dead transport; anything else (BudgetExceeded
+    // included) is a verdict, not a dead shard.
+    if (lastFailure.code() != StatusCode::IoError)
       return errorReply(lastFailure);
-    if (result.status().code() != StatusCode::IoError &&
-        result.status().code() != StatusCode::Unavailable)
-      return errorReply(lastFailure);  // a real verdict, not a dead shard
-    if (i + 1 < candidates.size())
-      failovers_.fetch_add(1, std::memory_order_relaxed);
+    if (!last) failovers_.fetch_add(1, std::memory_order_relaxed);
   }
 
   exhausted_.fetch_add(1, std::memory_order_relaxed);
@@ -552,133 +320,29 @@ proto::Reply Router::routeExplore(const proto::ExploreRequest& req,
   return reply;
 }
 
-proto::Reply Router::routeAdvise(const proto::AdviseRequest& req,
-                                 i64 queueWaitMs) {
-  adviseRequests_.fetch_add(1, std::memory_order_relaxed);
-  const auto t0 = std::chrono::steady_clock::now();
-
-  i64 budgetMs = 0;  // <= 0 = unlimited
-  if (req.deadlineMs > 0) {
-    const i64 remaining =
-        req.remainingBudgetMs > 0 ? req.remainingBudgetMs : req.deadlineMs;
-    budgetMs = remaining - queueWaitMs;
-    if (budgetMs <= 0) {
-      expiredRequests_.fetch_add(1, std::memory_order_relaxed);
-      return errorReply(Status::error(
-          StatusCode::BudgetExceeded,
-          "deadline expired before routing (queued " +
-              std::to_string(queueWaitMs) + "ms of " +
-              std::to_string(remaining) + "ms budget)"));
-    }
-  }
-  const auto remainingMs = [&]() -> i64 {
-    return budgetMs > 0 ? budgetMs - msSince(t0) : 0;
-  };
-
-  // Key the ring on the first read signal's explore hash: the shard that
-  // served that signal's Explore traffic holds the warmest curve caches
-  // for this kernel, and the advisor re-reads every signal's curve.
-  auto compiled = frontend::compileKernelChecked(req.kernel);
-  if (!compiled.hasValue()) return errorReply(compiled.status());
-  const int signal = resolveSignal(*compiled, "");
-  if (signal < 0)
-    return errorReply(Status::error(StatusCode::InvalidInput,
-                                    "kernel has no read signal"));
-  const std::uint64_t hash =
-      explorer::exploreConfigHash(*compiled, signal, {});
-
-  const std::vector<int> pref = ring_.preference(hash);
-  std::vector<int> candidates;
-  candidates.reserve(pref.size());
-  for (int idx : pref) {
-    if (shardUp(idx)) {
-      candidates.push_back(idx);
-    } else {
-      shardDownSkips_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (candidates.empty()) candidates = pref;
-
-  i64 bestHintMs = 0;
-  Status lastFailure = Status::error(StatusCode::Unavailable,
-                                     "no shard candidates");
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (budgetMs > 0 && remainingMs() <= 0) {
-      return errorReply(Status::error(
-          StatusCode::BudgetExceeded,
-          "deadline exhausted after " + std::to_string(msSince(t0)) +
-              "ms of routing; last failure: " + lastFailure.str()));
-    }
-    auto result = forwardAdviseOnce(req, candidates[i],
-                                    budgetMs > 0 ? remainingMs() : i64{0});
-    if (result.hasValue()) {
-      if (result->code != StatusCode::Unavailable) return *result;
-      bestHintMs = std::max(bestHintMs, result->retryAfterMs);
-      lastFailure = Status::error(StatusCode::Unavailable, result->message);
-      if (i + 1 < candidates.size())
-        failovers_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    lastFailure = result.status();
-    if (result.status().code() == StatusCode::BudgetExceeded)
-      return errorReply(lastFailure);
-    if (result.status().code() != StatusCode::IoError &&
-        result.status().code() != StatusCode::Unavailable)
-      return errorReply(lastFailure);
-    if (i + 1 < candidates.size())
-      failovers_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  exhausted_.fetch_add(1, std::memory_order_relaxed);
-  proto::Reply reply;
-  reply.code = StatusCode::Unavailable;
-  reply.message = "all " + std::to_string(candidates.size()) +
-                  " shard replica(s) unavailable: " + lastFailure.str();
-  reply.retryAfterMs = bestHintMs > 0 ? bestHintMs : kExhaustedRetryAfterMs;
-  return reply;
-}
-
-Expected<proto::Reply> Router::forwardAdviseOnce(
-    const proto::AdviseRequest& req, int shardIdx, i64 budgetMs) {
+template <class Request>
+Expected<proto::Reply> Router::forward(const Request& req, int shardIdx,
+                                       i64 budgetMs) {
   Shard& shard = *shards_[static_cast<std::size_t>(shardIdx)];
-  proto::AdviseRequest fwd = req;
-  fwd.deadlineMs = budgetMs > 0 ? budgetMs : req.deadlineMs;
-  fwd.remainingBudgetMs = 0;
-  auto reply = shard.client->advise(fwd);
-  if (reply.hasValue()) {
-    shard.forwards.fetch_add(1, std::memory_order_relaxed);
-    markShardUp(shardIdx);
-  } else if (reply.status().code() == StatusCode::IoError ||
-             reply.status().code() == StatusCode::Unavailable) {
-    markShardStrike(shardIdx);
-  }
-  return reply;
-}
-
-Expected<proto::Reply> Router::forwardOnce(const proto::ExploreRequest& req,
-                                           int shardIdx, i64 budgetMs) {
-  Shard& shard = *shards_[static_cast<std::size_t>(shardIdx)];
-  proto::ExploreRequest fwd = req;
+  Request fwd = req;
   // The forwarded deadline is what is left of the caller's budget at
-  // this hop; the per-shard client re-stamps remainingBudgetMs per
-  // attempt from it.
+  // this hop; the shard's client re-stamps remainingBudgetMs per attempt
+  // from it.
   fwd.deadlineMs = budgetMs > 0 ? budgetMs : req.deadlineMs;
   fwd.remainingBudgetMs = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  auto reply = shard.client->explore(fwd);
+  auto reply = send(*shard.client, fwd);
   if (reply.hasValue()) {
     shard.forwards.fetch_add(1, std::memory_order_relaxed);
     markShardUp(shardIdx);
-    if (reply->code == StatusCode::Ok)
+    // The hedge delay is derived from Explore forwards only.
+    if (std::is_same_v<Request, proto::ExploreRequest> &&
+        reply->code == StatusCode::Ok)
       recordForwardLatencyUs(
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - t0)
               .count());
-  } else if (reply.status().code() == StatusCode::IoError ||
-             reply.status().code() == StatusCode::Unavailable) {
-    // IoError: the transport is dead. Unavailable from a client that
-    // never decoded a reply: the breaker fast-failed every attempt —
-    // same verdict, the endpoint is unreachable.
+  } else if (reply.status().code() == StatusCode::IoError) {
     markShardStrike(shardIdx);
   }
   return reply;
@@ -689,16 +353,14 @@ Expected<proto::Reply> Router::forwardWithHedge(
     i64 budgetMs) {
   const i64 hedgeDelayMs = currentHedgeDelayMs();
   // Hedging is pointless when the remaining budget barely covers the
-  // delay, and impossible without a distinct replica.
-  const bool canHedge =
-      hedgeIdx >= 0 && (budgetMs <= 0 || budgetMs > 2 * hedgeDelayMs);
-  if (!canHedge) return forwardOnce(req, primaryIdx, budgetMs);
+  // delay.
+  if (budgetMs > 0 && budgetMs <= 2 * hedgeDelayMs)
+    return forward(req, primaryIdx, budgetMs);
 
   struct HedgeState {
     std::mutex mutex;
     std::condition_variable cv;
     bool delivered = false;
-    bool primaryDone = false;
     bool winnerIsHedge = false;
     std::optional<Expected<proto::Reply>> result;
   };
@@ -707,12 +369,10 @@ Expected<proto::Reply> Router::forwardWithHedge(
   const auto launch = [&](int shardIdx, bool isHedge) {
     gate_.enter();
     std::thread([this, state, req, shardIdx, isHedge, budgetMs] {
-      auto reply = forwardOnce(req, shardIdx, budgetMs);
+      auto reply = forward(req, shardIdx, budgetMs);
       {
         std::lock_guard<std::mutex> lock(state->mutex);
-        if (!isHedge) state->primaryDone = true;
-        // First response wins; an unavailable/failed primary yields to a
-        // still-running hedge only if the hedge is the one delivering.
+        // First response wins, whatever its verdict.
         if (!state->delivered) {
           state->delivered = true;
           state->winnerIsHedge = isHedge;
@@ -838,16 +498,17 @@ i64 Router::currentHedgeDelayMs() const {
 // ---- stats --------------------------------------------------------------
 
 RouterStats Router::stats() const {
+  const MetricsSnapshot door = metrics_.snapshot();
   RouterStats s;
   const auto get = [](const std::atomic<i64>& c) {
     return c.load(std::memory_order_relaxed);
   };
-  s.requests = get(requests_);
-  s.exploreRequests = get(exploreRequests_);
-  s.adviseRequests = get(adviseRequests_);
-  s.healthRequests = get(healthRequests_);
-  s.statsRequests = get(statsRequests_);
-  s.protocolErrors = get(protocolErrors_);
+  s.requests = door.requests;
+  s.exploreRequests = door.exploreRequests;
+  s.adviseRequests = door.adviseRequests;
+  s.healthRequests = door.healthRequests;
+  s.statsRequests = door.statsRequests;
+  s.protocolErrors = door.protocolErrors;
   s.failovers = get(failovers_);
   s.hedgesLaunched = get(hedgesLaunched_);
   s.hedgesWon = get(hedgesWon_);
@@ -856,8 +517,8 @@ RouterStats Router::stats() const {
   s.healthFlaps = get(healthFlaps_);
   s.shardDownSkips = get(shardDownSkips_);
   s.exhausted = get(exhausted_);
-  s.shedQueueFull = get(shedQueueFull_);
-  s.expiredRequests = get(expiredRequests_);
+  s.shedQueueFull = door.shedQueueFull;
+  s.expiredRequests = door.expiredRequests;
   s.shardUp.reserve(shards_.size());
   s.shardForwards.reserve(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {

@@ -11,6 +11,8 @@
 
 #include "service/admission.h"
 #include "service/client.h"
+#include "service/front_door.h"
+#include "service/metrics.h"
 #include "service/protocol.h"
 #include "service/transport.h"
 #include "support/intmath.h"
@@ -29,29 +31,36 @@
 /// Failure handling, from fastest to slowest signal:
 ///
 ///   - **Passive accounting.** Every forwarded reply marks its shard up;
-///     every transport failure (after the per-endpoint client's own
-///     retries and breaker) marks a strike. `healthFailureThreshold`
-///     consecutive strikes take the shard Down.
+///     every transport failure (after the forward client's own retries)
+///     marks a strike. `healthFailureThreshold` consecutive strikes take
+///     the shard Down. These marks and the probes below are the router's
+///     one failure detector: its forward clients carry no circuit
+///     breaker, so a shard a probe marks up is served at once.
 ///   - **Active probes.** A background thread sends the Health verb to
 ///     every shard each `healthIntervalMs` on a short timeout, so a dead
 ///     shard is discovered within one probe interval even with zero
 ///     traffic, and a recovered one comes back without waiting for a
 ///     request to gamble on it.
-///   - **Failover.** A request walks its ring preference order, skipping
-///     Down shards; a transport failure or an Unavailable (shedding)
-///     reply moves to the next replica. When every candidate is down or
-///     shedding, the router answers a structured Unavailable with a
-///     retry-after hint — the same contract a single overloaded daemon
-///     honors.
-///   - **Hedging.** Optionally, a request to a slow shard launches one
+///   - **Failover.** Explore and Advise take one routing walk: the ring
+///     preference order, skipping Down shards; a transport failure or an
+///     Unavailable (shedding) reply moves to the next replica. When every
+///     candidate is down or shedding, the router answers a structured
+///     Unavailable with a retry-after hint — the same contract a single
+///     overloaded daemon honors.
+///   - **Hedging.** Optionally, an Explore to a slow shard launches one
 ///     hedge to the next replica after a p99-derived delay (or the fixed
 ///     `hedgeDelayMs`); the first reply wins, the loser's thread drains
 ///     in the background bounded by its socket timeouts. Hedges respect
 ///     the caller's propagated budget and are never launched when no
-///     healthy replica exists.
+///     healthy replica exists. Advise is never hedged: it fans out to
+///     one exploration per signal on the shard, so a speculative
+///     duplicate costs far more than a late reply.
 ///
-/// All routing sleeps and forwards are charged to the caller's
-/// propagated remainingBudgetMs, exactly like the single-daemon path.
+/// The front door (listener, admission queue with its shed replies,
+/// worker pool, drain) is the daemon's own (front_door.h), counting into
+/// the router's Metrics. All routing sleeps and forwards are charged to
+/// the caller's propagated remainingBudgetMs, exactly like the
+/// single-daemon path.
 
 namespace dr::service {
 
@@ -102,11 +111,12 @@ struct RouterOptions {
   i64 hedgeMinDelayMs = 10;   ///< floor of the derived delay
   i64 hedgeMaxDelayMs = 250;  ///< ceiling (also used before p99 exists)
 
-  /// Template for the per-shard forwarding clients (endpoint is
-  /// overridden per shard; breakers come from a shared per-endpoint
-  /// registry). Defaults to 2 attempts: transient blips retry in place,
-  /// real failures fail over to the next replica instead of hammering a
-  /// dead socket through five backoffs.
+  /// Template for the per-shard forwarding clients. The endpoint is
+  /// overridden per shard, and the breaker fields are not used: the
+  /// router's up/down marks decide where a request goes. Defaults to 2
+  /// attempts: transient blips retry in place, real failures fail over
+  /// to the next replica instead of hammering a dead socket through five
+  /// backoffs.
   ClientOptions client = defaultForwardClientOptions();
 
   AdmissionOptions admission;
@@ -125,7 +135,9 @@ struct RouterOptions {
 /// broken client template.
 support::Status validateRouterOptions(const RouterOptions& opts);
 
-/// Router-level counters (the shard daemons keep their own Metrics).
+/// Router-level counters (the shard daemons keep their own Metrics). The
+/// request, shed and expiry counts come from the router's front-door
+/// Metrics; the rest are the routing walk's own.
 struct RouterStats {
   i64 requests = 0;
   i64 exploreRequests = 0;
@@ -164,10 +176,10 @@ class Router {
   /// outstanding hedge thread has drained.
   void wait();
 
-  bool draining() const { return draining_.load(std::memory_order_acquire); }
+  bool draining() const { return door_.draining(); }
 
   const RouterOptions& options() const { return opts_; }
-  const transport::Endpoint& boundEndpoint() const { return bound_; }
+  const transport::Endpoint& boundEndpoint() const { return door_.bound(); }
   const ShardRing& ring() const { return ring_; }
 
   RouterStats stats() const;
@@ -185,10 +197,8 @@ class Router {
  private:
   /// Health + forwarding state for one shard.
   struct Shard {
-    transport::Endpoint endpoint;
-    std::string spec;  ///< canonical endpoint string (ring + breaker key)
-    std::unique_ptr<Client> client;  ///< forwarding client (shared breaker)
-    ClientOptions probeOptions;      ///< breaker-free, short-timeout probe
+    std::unique_ptr<Client> client;  ///< forwarding client, no breaker
+    ClientOptions probeOptions;      ///< single-attempt, short-timeout probe
 
     std::mutex mutex;
     bool up = true;
@@ -210,32 +220,25 @@ class Router {
     i64 active_ = 0;
   };
 
-  void acceptLoop();
-  void workerLoop();
-  void serveConnection(int fd, i64 queueWaitMs);
-  void shedConnection(int fd, const char* why);
-  std::string handleFrame(const proto::Frame& frame, bool& closeAfter,
-                          i64 queueWaitMs);
-  proto::Reply routeExplore(const proto::ExploreRequest& req, i64 queueWaitMs);
+  /// The routing walk, for an Explore or an Advise: charge the queue
+  /// wait, place the request by its config hash (an Advise by its
+  /// kernel's first read signal, whose shard holds the warmest curves
+  /// for the kernel), then forward along the ring preference order.
+  template <class Request>
+  proto::Reply route(const Request& req, i64 queueWaitMs);
 
-  /// Route one advisor query. Placement keys the ring on the kernel's
-  /// first read signal's explore config hash, so an advise lands on the
-  /// shard whose curve caches its own explore traffic already warmed.
-  /// Failover walks the preference order like routeExplore; advises are
-  /// not hedged (they fan out to N signal explorations server-side, so a
-  /// speculative duplicate is much more expensive than a late reply).
-  proto::Reply routeAdvise(const proto::AdviseRequest& req, i64 queueWaitMs);
+  /// Forward one request to one shard with what is left of the budget
+  /// (`budgetMs` <= 0 = unlimited), marking the shard up on any reply and
+  /// striking it on a transport failure.
+  template <class Request>
+  support::Expected<proto::Reply> forward(const Request& req, int shardIdx,
+                                          i64 budgetMs);
 
-  /// Forward one request to `primaryIdx`, hedging to `hedgeIdx` (>= 0)
-  /// after the live hedge delay when the primary has not answered.
-  /// `budgetMs` <= 0 = unlimited.
+  /// Forward an Explore to `primaryIdx`, hedging to `hedgeIdx` after the
+  /// live hedge delay when the primary has not answered.
   support::Expected<proto::Reply> forwardWithHedge(
       const proto::ExploreRequest& req, int primaryIdx, int hedgeIdx,
       i64 budgetMs);
-  support::Expected<proto::Reply> forwardOnce(const proto::ExploreRequest& req,
-                                              int shardIdx, i64 budgetMs);
-  support::Expected<proto::Reply> forwardAdviseOnce(
-      const proto::AdviseRequest& req, int shardIdx, i64 budgetMs);
 
   void probeLoop();
   void markShardUp(int idx);
@@ -247,29 +250,13 @@ class Router {
   RouterOptions opts_;
   ShardRing ring_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  BreakerRegistry breakers_;
-  AdmissionQueue admission_;
+  Metrics metrics_;  ///< front-door counts (requests, sheds, expiry)
   ActivityGate gate_;
 
-  int listenFd_ = -1;
-  transport::Endpoint bound_;
-  int wakeupPipe_[2] = {-1, -1};
-  std::atomic<bool> draining_{false};
-  bool started_ = false;
-
-  std::thread acceptThread_;
-  std::thread probeThread_;
-  std::vector<std::thread> workers_;
   std::mutex probeWakeMutex_;
   std::condition_variable probeWakeCv_;
 
-  // Counters (relaxed; the stats verb snapshots them).
-  std::atomic<i64> requests_{0};
-  std::atomic<i64> exploreRequests_{0};
-  std::atomic<i64> adviseRequests_{0};
-  std::atomic<i64> healthRequests_{0};
-  std::atomic<i64> statsRequests_{0};
-  std::atomic<i64> protocolErrors_{0};
+  // Routing counters (relaxed; the stats verb snapshots them).
   std::atomic<i64> failovers_{0};
   std::atomic<i64> hedgesLaunched_{0};
   std::atomic<i64> hedgesWon_{0};
@@ -278,14 +265,17 @@ class Router {
   std::atomic<i64> healthFlaps_{0};
   std::atomic<i64> shardDownSkips_{0};
   std::atomic<i64> exhausted_{0};
-  std::atomic<i64> shedQueueFull_{0};
-  std::atomic<i64> expiredRequests_{0};
 
   /// Power-of-two latency histogram of successful forwards, feeding the
   /// p99-derived hedge delay.
   static constexpr int kLatencyBuckets = 48;
   std::array<std::atomic<i64>, kLatencyBuckets> latencyBuckets_{};
   std::atomic<i64> latencyCount_{0};
+
+  /// Listener, admission queue and worker pool (front_door.h). Declared
+  /// after every member its threads use.
+  FrontDoor door_;
+  std::thread probeThread_;
 };
 
 }  // namespace dr::service

@@ -1,16 +1,15 @@
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "service/admission.h"
 #include "service/cache.h"
+#include "service/front_door.h"
 #include "service/metrics.h"
 #include "service/protocol.h"
 #include "service/singleflight.h"
@@ -18,9 +17,9 @@
 #include "support/status.h"
 
 /// \file server.h
-/// The exploration daemon: an accept loop over a Unix-domain or TCP
-/// listener (transport.h) dispatching framed requests (protocol.h) onto a
-/// small worker pool. Every explore request flows
+/// The exploration daemon: a front door (front_door.h) over a
+/// Unix-domain or TCP listener (transport.h) dispatching framed requests
+/// (protocol.h) onto a small worker pool. Every explore request flows
 ///
 ///   compile kernel -> resolve signal -> config hash
 ///     -> single-flight (one computation per concurrent identical burst)
@@ -92,40 +91,39 @@ class Server {
   /// Block until the drain finishes and every thread has exited.
   void wait();
 
-  bool draining() const {
-    return draining_.load(std::memory_order_acquire);
-  }
+  bool draining() const { return door_.draining(); }
 
   const ServerOptions& options() const { return opts_; }
 
   /// The endpoint the listener actually bound — equal to the parsed
   /// options().endpoint except that a TCP port 0 is resolved to the
   /// concrete ephemeral port. Valid after a successful start().
-  const transport::Endpoint& boundEndpoint() const { return bound_; }
+  const transport::Endpoint& boundEndpoint() const { return door_.bound(); }
 
   /// Live counters with the cache's own ledger folded in — the body of
   /// the `stats` verb and the feed of report::metricsReport.
   MetricsSnapshot metricsSnapshot() const;
 
  private:
-  void acceptLoop();
-  void workerLoop();
-  void serveConnection(int fd, support::i64 queueWaitMs);
-
-  /// Shed `fd` with a structured Unavailable reply (retry-after hint
-  /// included) and close it — the load-shedding exit, never silent.
-  void shedConnection(int fd, const char* why);
-
-  /// Dispatch one parsed frame; returns the encoded Reply frame and sets
-  /// `closeAfter` for verbs that end the conversation (Shutdown).
-  /// `queueWaitMs` is the admission-queue wait to charge against the
-  /// request's budget (non-zero only for a connection's first frame).
-  std::string handleFrame(const proto::Frame& frame, bool& closeAfter,
-                          support::i64 queueWaitMs);
   proto::Reply handleExplore(const proto::ExploreRequest& req,
                              support::i64 queueWaitMs);
   proto::Reply handleAdvise(const proto::AdviseRequest& req,
                             support::i64 queueWaitMs);
+
+  /// The RunBudget deadline of a request with `budgetMs` left (<= 0 =
+  /// the client set none): the server default less the queue wait when
+  /// the client set none, then tightened under queue pressure
+  /// (admission.h). 0 = unlimited.
+  support::i64 effectiveDeadlineMs(support::i64 budgetMs,
+                                   support::i64 queueWaitMs);
+
+  /// One signal's curve for either verb: computed outright under
+  /// kFlagNoCache, otherwise through single-flight and every cache
+  /// layer. Counts joins, simulations and the engine mix; `*computed`
+  /// reports whether any curve point was recomputed for this request.
+  support::Expected<CachedCurve> fetchCurve(
+      const loopir::Program& p, int signal,
+      const explorer::ExploreOptions& opts, bool noCache, bool* computed);
 
   /// One cached advisor answer — everything an AdviseResult body needs.
   /// Keyed by partition::adviseConfigHash; only reports whose curves all
@@ -146,7 +144,6 @@ class Server {
   Metrics metrics_;
   ResultCache cache_;
   SingleFlight flight_;
-  AdmissionQueue admission_;  ///< bounded accept queue (admission.h)
 
   /// Whole-report advise cache (the per-signal curves already live in
   /// cache_; this avoids re-solving and re-rendering on repeat advise
@@ -157,14 +154,9 @@ class Server {
   std::unordered_map<std::uint64_t, std::list<AdviseEntry>::iterator>
       adviseIndex_;
 
-  int listenFd_ = -1;
-  transport::Endpoint bound_;     ///< resolved listen endpoint
-  int wakeupPipe_[2] = {-1, -1};  ///< written on shutdown to unblock poll
-  std::atomic<bool> draining_{false};
-  bool started_ = false;
-
-  std::thread acceptThread_;
-  std::vector<std::thread> workers_;
+  /// Listener, admission queue and worker pool (front_door.h). Declared
+  /// last: its threads use every member above.
+  FrontDoor door_;
 };
 
 }  // namespace dr::service

@@ -5,16 +5,22 @@
 // are pinned field for field to their walks: the per-carry-level fills to
 // multiLevelPointsByWalk, the interval shapes to a per-offset
 // construction, and the working-set knees (shape products or one counted
-// translate window per level) to the per-element walk.
+// translate window per level) to the per-element walk. An explore without
+// simulation takes its distinct-element count from the level-0 windows;
+// that count is pinned to the trace's.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <limits>
 #include <optional>
 #include <set>
 #include <string>
 
 #include "analytic/curve.h"
 #include "analytic/footprint.h"
+#include "explorer/explorer.h"
 #include "frontend/frontend.h"
 #include "helpers.h"
 #include "kernels/conv2d.h"
@@ -621,6 +627,89 @@ TEST(MultiLevelOracle, SeededColdMixFamilies) {
       expectMultiLevelMatchesWalk(drawColdMixKernel(family, rng),
                                   "family " + std::to_string(family) +
                                       " round " + std::to_string(round));
+}
+
+/// Every read signal of `p` explored without simulation: the footprint
+/// from the level-0 windows equals the distinct count of the signal's
+/// read trace. Returns the number of signals checked.
+int expectNosimFootprintMatchesTrace(const loopir::Program& p,
+                                     const std::string& what) {
+  dr::explorer::ExploreOptions nosim;
+  nosim.runSimulation = false;
+  const loopir::Program pn = loopir::normalized(p);
+  const dr::trace::AddressMap map(pn);
+  int checked = 0;
+  for (std::size_t s = 0; s < p.signals.size(); ++s) {
+    const int signal = static_cast<int>(s);
+    const dr::trace::Trace trace = dr::trace::readTrace(pn, map, signal);
+    if (trace.length() == 0) continue;
+    const auto ex = dr::explorer::exploreSignal(p, signal, nosim);
+    EXPECT_EQ(ex.distinctElements, trace.distinctCount())
+        << what << ", signal " << p.signals[s].name;
+    EXPECT_EQ(ex.Ctot, trace.length()) << what;
+    EXPECT_EQ(ex.simulationStats.totalEvents, trace.length()) << what;
+    ++checked;
+  }
+  return checked;
+}
+
+TEST(AnalyticOnlyFootprint, BuiltInKernels) {
+  int checked = 0;
+  checked += expectNosimFootprintMatchesTrace(
+      dr::kernels::motionEstimation({32, 32, 4, 4}), "me");
+  checked += expectNosimFootprintMatchesTrace(
+      dr::kernels::conv2d({20, 18, 2}), "conv2d");
+  checked += expectNosimFootprintMatchesTrace(dr::kernels::matmul({12, 10}),
+                                              "matmul");
+  checked += expectNosimFootprintMatchesTrace(dr::kernels::susan({24, 20}),
+                                              "susan");
+  checked += expectNosimFootprintMatchesTrace(
+      dr::kernels::waveletLifting({8, 16}), "wavelet");
+  for (const char* name : {"hfilter", "downsample", "matvec"}) {
+    const std::string path =
+        std::string(DR_EXAMPLE_KERNELS_DIR) + "/" + name + ".krn";
+    checked += expectNosimFootprintMatchesTrace(
+        dr::frontend::compileKernelFile(path), name);
+  }
+  EXPECT_GE(checked, 10);
+}
+
+TEST(AnalyticOnlyFootprint, SeededColdMixFamilies) {
+  dr::support::Rng rng(0x6e6f73696d);
+  for (int round = 0; round < 8; ++round)
+    for (int family = 0; family < 8; ++family)
+      EXPECT_GT(expectNosimFootprintMatchesTrace(
+                    drawColdMixKernel(family, rng),
+                    "family " + std::to_string(family) + " round " +
+                        std::to_string(round)),
+                0);
+}
+
+TEST(AnalyticOnlyFootprint, MeNewCostsNoMoreWithoutSimulation) {
+  // The paper's frame (144x176, n = m = 8). New is answered by the
+  // symbolic rung, so skipping step 4 must never make the explore dearer.
+  const auto p = dr::kernels::motionEstimation();
+  const int signal = p.findSignal("New");
+  dr::explorer::ExploreOptions full;
+  dr::explorer::ExploreOptions nosim;
+  nosim.runSimulation = false;
+  const auto bestUs = [&](const dr::explorer::ExploreOptions& opts) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto ex = dr::explorer::exploreSignal(p, signal, opts);
+    EXPECT_GT(ex.distinctElements, 0);
+    return std::chrono::duration_cast<std::chrono::microseconds>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  i64 fullUs = std::numeric_limits<i64>::max();
+  i64 nosimUs = std::numeric_limits<i64>::max();
+  for (int rep = 0; rep < 15; ++rep) {
+    fullUs = std::min<i64>(fullUs, bestUs(full));
+    nosimUs = std::min<i64>(nosimUs, bestUs(nosim));
+  }
+  EXPECT_LE(nosimUs, fullUs) << "best of 15: " << nosimUs
+                             << " us without simulation, " << fullUs
+                             << " us with it";
 }
 
 TEST(MultiLevelOracle, PreconditionBreakers) {

@@ -31,6 +31,7 @@
 #include "frontend/frontend.h"
 #include "kernels/conv2d.h"
 #include "kernels/motion_estimation.h"
+#include "partition/advisor.h"
 #include "report/report.h"
 #include "service/admission.h"
 #include "service/cache.h"
@@ -1494,45 +1495,6 @@ TEST(Server, V1FrameIsRejectedWithAStructuredError) {
   server.wait();
 }
 
-// ---- per-endpoint circuit breakers --------------------------------------
-
-TEST(Client, BreakerStateIsPerEndpointNotPerProcess) {
-  TcpShard live = startTcpShard();
-  const std::string deadEndpoint = socketPath();  // nothing listening
-
-  dr::service::BreakerRegistry registry;
-  ClientOptions dead;
-  dead.endpoint = deadEndpoint;
-  dead.maxAttempts = 1;
-  dead.connectTimeoutMs = 200;
-  dead.breakerThreshold = 2;
-  Client deadClient(dead, registry.acquire(deadEndpoint, 2, 60000));
-
-  ClientOptions liveOpts;
-  liveOpts.endpoint = live.endpoint;
-  liveOpts.breakerThreshold = 2;
-  Client liveClient(liveOpts, registry.acquire(live.endpoint, 2, 60000));
-
-  // Two consecutive transport failures trip the dead endpoint's breaker.
-  EXPECT_FALSE(deadClient.call(proto::Verb::Stats, "").hasValue());
-  EXPECT_FALSE(deadClient.call(proto::Verb::Stats, "").hasValue());
-  EXPECT_EQ(deadClient.breakerState(), Client::BreakerState::Open);
-
-  // The healthy endpoint's breaker is untouched by its neighbor's death.
-  auto reply = liveClient.call(proto::Verb::Stats, "");
-  ASSERT_TRUE(reply.hasValue()) << reply.status().str();
-  EXPECT_EQ(reply->code, StatusCode::Ok);
-  EXPECT_EQ(liveClient.breakerState(), Client::BreakerState::Closed);
-
-  // And a second client of the dead endpoint shares the tripped breaker
-  // instead of paying the connect timeout again.
-  Client deadTwin(dead, registry.acquire(deadEndpoint, 2, 60000));
-  EXPECT_EQ(deadTwin.breakerState(), Client::BreakerState::Open);
-
-  live.server->requestShutdown();
-  live.server->wait();
-}
-
 // ---- shard ring ---------------------------------------------------------
 
 TEST(Router, RingPreferenceIsDeterministicAndCoversEveryShard) {
@@ -1726,6 +1688,18 @@ TEST(Router, HedgeWinsAgainstABlackholedPrimary) {
   live.server->wait();
 }
 
+/// Wait up to 10 s for the router to mark shard `idx` up or down.
+bool waitForShardUp(const dr::service::Router& router, std::size_t idx,
+                    bool want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::chrono::steady_clock::now() < deadline) {
+    if (router.stats().shardUp[idx] == want) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
 TEST(Router, HealthProbesFlapAShardDownAndBackUp) {
   TcpShard a = startTcpShard();
   TcpShard b = startTcpShard();
@@ -1739,21 +1713,12 @@ TEST(Router, HealthProbesFlapAShardDownAndBackUp) {
   dr::service::Router router(ropts);
   ASSERT_TRUE(router.start().isOk());
 
-  const auto waitForUpState = [&](std::size_t idx, bool want) {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (router.stats().shardUp[idx] == want) return true;
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    return false;
-  };
-  ASSERT_TRUE(waitForUpState(1, true));
+  ASSERT_TRUE(waitForShardUp(router, 1, true));
 
   // Kill shard B: probes must take it Down within a few intervals.
   b.server->requestShutdown();
   b.server->wait();
-  EXPECT_TRUE(waitForUpState(1, false));
+  EXPECT_TRUE(waitForShardUp(router, 1, false));
 
   // Restart it on the same (now concrete) endpoint: probes bring it back.
   ServerOptions again;
@@ -1761,7 +1726,7 @@ TEST(Router, HealthProbesFlapAShardDownAndBackUp) {
   again.workers = 2;
   b.server = std::make_unique<Server>(again);
   ASSERT_TRUE(b.server->start().isOk());
-  EXPECT_TRUE(waitForUpState(1, true));
+  EXPECT_TRUE(waitForShardUp(router, 1, true));
 
   const dr::service::RouterStats stats = router.stats();
   EXPECT_GE(stats.healthProbes, 2);
@@ -1774,6 +1739,189 @@ TEST(Router, HealthProbesFlapAShardDownAndBackUp) {
   a.server->wait();
   b.server->requestShutdown();
   b.server->wait();
+}
+
+TEST(Router, RevivedShardIsServedWithoutWaitingOutABreaker) {
+  TcpShard a = startTcpShard();
+  TcpShard b = startTcpShard();
+
+  dr::service::RouterOptions ropts;
+  ropts.listen = "127.0.0.1:0";
+  ropts.shards = {a.endpoint, b.endpoint};
+  ropts.hedge = false;
+  // Two probe strikes take a shard down: 300 ms apart, they leave the
+  // first query ample time to reach the dead owner itself.
+  ropts.healthIntervalMs = 300;
+  ropts.healthTimeoutMs = 200;
+  // A forward client with this breaker would trip on the dead owner and
+  // then hold the revived owner's next forward for the 3 s cooldown.
+  ropts.client.breakerThreshold = 2;
+  ropts.client.breakerCooldownMs = 3000;
+  ropts.client.backoffBaseMs = 1;
+  dr::service::Router router(ropts);
+  ASSERT_TRUE(router.start().isOk());
+
+  const std::string kernel =
+      dr::kernels::motionEstimationSource({32, 32, 4, 4});
+  const std::vector<int> pref =
+      router.ring().preference(configHashOf(kernel, "Old"));
+  ASSERT_EQ(pref.size(), 2u);
+  const auto owner = static_cast<std::size_t>(pref.front());
+  TcpShard& primary = owner == 0 ? a : b;
+  primary.server->requestShutdown();
+  primary.server->wait();
+
+  ClientOptions copts;
+  copts.endpoint = transport::toString(router.boundEndpoint());
+  copts.recvTimeoutMs = 10000;
+  Client client(copts);
+  proto::ExploreRequest req;
+  req.kernel = kernel;
+  req.signal = "Old";
+
+  // The owner is still marked up: the query pays its refused connects,
+  // then fails over to the replica.
+  auto first = client.explore(req);
+  ASSERT_TRUE(first.hasValue()) << first.status().str();
+  ASSERT_EQ(first->code, StatusCode::Ok) << first->message;
+  EXPECT_GE(router.stats().failovers, 1);
+
+  // Restart the owner once the probes have seen it dead, and wait until
+  // they see it alive again.
+  ASSERT_TRUE(waitForShardUp(router, owner, false));
+  ServerOptions again;
+  again.endpoint = primary.endpoint;
+  again.workers = 2;
+  primary.server = std::make_unique<Server>(again);
+  ASSERT_TRUE(primary.server->start().isOk());
+  ASSERT_TRUE(waitForShardUp(router, owner, true));
+
+  const i64 ownerForwards = router.stats().shardForwards[owner];
+  const auto t0 = std::chrono::steady_clock::now();
+  auto second = client.explore(req);
+  const auto elapsedMs = std::chrono::duration_cast<std::chrono::milliseconds>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+  ASSERT_TRUE(second.hasValue()) << second.status().str();
+  ASSERT_EQ(second->code, StatusCode::Ok) << second->message;
+  EXPECT_LT(elapsedMs, 1000);
+  EXPECT_EQ(router.stats().shardForwards[owner], ownerForwards + 1);
+
+  router.requestShutdown();
+  router.wait();
+  a.server->requestShutdown();
+  a.server->wait();
+  b.server->requestShutdown();
+  b.server->wait();
+}
+
+TEST(Router, AdviseIsByteIdenticalToADirectAdviseAndFailsOver) {
+  const std::string kernel = dr::kernels::conv2dSource({20, 18, 1});
+  proto::AdviseRequest req;
+  req.kernel = kernel;
+  req.mode = static_cast<std::uint8_t>(dr::partition::Mode::WayPartition);
+  req.capacity = 128;
+  req.ways = 8;
+
+  // The reference: a fresh daemon asked directly.
+  TcpShard direct = startTcpShard();
+  ClientOptions dopts;
+  dopts.endpoint = direct.endpoint;
+  auto expected = Client(dopts).advise(req);
+  ASSERT_TRUE(expected.hasValue()) << expected.status().str();
+  ASSERT_EQ(expected->code, StatusCode::Ok) << expected->message;
+
+  TcpShard a = startTcpShard();
+  TcpShard b = startTcpShard();
+  dr::service::RouterOptions ropts;
+  ropts.listen = "127.0.0.1:0";
+  ropts.shards = {a.endpoint, b.endpoint};
+  ropts.healthIntervalMs = 0;  // passive accounting only: deterministic
+  ropts.client.connectTimeoutMs = 300;
+  ropts.client.backoffBaseMs = 1;
+  dr::service::Router router(ropts);
+  ASSERT_TRUE(router.start().isOk());
+  ClientOptions copts;
+  copts.endpoint = transport::toString(router.boundEndpoint());
+  Client client(copts);
+
+  // An Advise is placed by the kernel's first read signal.
+  auto compiled = dr::frontend::compileKernelChecked(kernel);
+  ASSERT_TRUE(compiled.hasValue());
+  const std::vector<int> signals = dr::partition::readSignals(*compiled);
+  ASSERT_FALSE(signals.empty());
+  const std::vector<int> pref = router.ring().preference(
+      dr::explorer::exploreConfigHash(*compiled, signals.front(), {}));
+  ASSERT_EQ(pref.size(), 2u);
+  const auto owner = static_cast<std::size_t>(pref.front());
+  const auto replica = static_cast<std::size_t>(pref[1]);
+
+  auto routed = client.advise(req);
+  ASSERT_TRUE(routed.hasValue()) << routed.status().str();
+  ASSERT_EQ(routed->code, StatusCode::Ok) << routed->message;
+  EXPECT_EQ(routed->body, expected->body);
+  EXPECT_EQ(router.stats().shardForwards[owner], 1);
+
+  // With the owner dead, the replica answers the same bytes (it has not
+  // seen the kernel either, so its reply is no more cached than the
+  // reference).
+  TcpShard& primary = owner == 0 ? a : b;
+  primary.server->requestShutdown();
+  primary.server->wait();
+  auto failedOver = client.advise(req);
+  ASSERT_TRUE(failedOver.hasValue()) << failedOver.status().str();
+  ASSERT_EQ(failedOver->code, StatusCode::Ok) << failedOver->message;
+  EXPECT_EQ(failedOver->body, expected->body);
+
+  const dr::service::RouterStats stats = router.stats();
+  EXPECT_EQ(stats.adviseRequests, 2);
+  EXPECT_GE(stats.failovers, 1);
+  EXPECT_EQ(stats.shardForwards[replica], 1);
+  EXPECT_EQ(stats.hedgesLaunched, 0);  // Advise is never hedged
+
+  router.requestShutdown();
+  router.wait();
+  for (TcpShard* shard : {&direct, &a, &b}) {
+    shard->server->requestShutdown();
+    shard->server->wait();
+  }
+}
+
+TEST(Router, AcceptDeadlineShedsStaleQueuedConnections) {
+  TcpShard shard = startTcpShard();
+  const std::string sock = socketPath();
+  dr::service::RouterOptions ropts;
+  ropts.listen = sock;
+  ropts.shards = {shard.endpoint};
+  ropts.workers = 1;
+  ropts.healthIntervalMs = 0;
+  ropts.admission.acceptDeadlineMs = 100;
+  dr::service::Router router(ropts);
+  ASSERT_TRUE(router.start().isOk());
+
+  // Half a frame pins the router's one worker; the next connection waits
+  // in the queue past its accept deadline.
+  const std::string frame = proto::encodeFrame(
+      proto::Verb::Explore, proto::encodeExploreRequest({"k", "", 0, 0}));
+  int parked = connectTo(sock);
+  ASSERT_GE(parked, 0);
+  ASSERT_TRUE(sendAll(parked, frame.substr(0, frame.size() / 2)));
+  int stale = connectTo(sock);
+  ASSERT_GE(stale, 0);
+  transport::setRecvTimeoutMs(stale, 5000);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  ::close(parked);
+
+  auto reply = readReply(stale);
+  ::close(stale);
+  ASSERT_TRUE(reply.hasValue()) << reply.status().str();
+  EXPECT_EQ(reply->code, StatusCode::Unavailable);
+  EXPECT_EQ(reply->message, "router overloaded: accept deadline exceeded");
+
+  router.requestShutdown();
+  router.wait();
+  shard.server->requestShutdown();
+  shard.server->wait();
 }
 
 // ---- warm-cache hygiene -------------------------------------------------

@@ -130,6 +130,19 @@ std::string uniquePath(const char* stem, const char* suffix) {
          suffix;
 }
 
+/// Fold `part`'s counters into `total` by the daemon ledger's fold
+/// column, so every counter survives a restart and adds up over shards.
+/// Latency summaries are left alone: percentiles do not add.
+void fold(dr::service::MetricsSnapshot& total,
+          const dr::service::MetricsSnapshot& part) {
+  using dr::service::Fold;
+#define DR_FOLD(field, name, how, ...)                                  \
+  total.field = Fold::how == Fold::Max ? std::max(total.field, part.field) \
+                                       : total.field + part.field;
+  DR_DAEMON_LEDGER(DR_FOLD, DR_FOLD, DR_LEDGER_SKIP)
+#undef DR_FOLD
+}
+
 /// The daemon under chaos: the harness owns it and the kill thread
 /// restarts it in place on the same options (same cache dir), exactly
 /// like an operator bouncing the process.
@@ -161,7 +174,7 @@ class ChaosServer {
     std::lock_guard<std::mutex> lock(mutex_);
     server_->requestShutdown();
     server_->wait();
-    foldRetired(server_->metricsSnapshot());
+    fold(retired_, server_->metricsSnapshot());
   }
 
   /// A fresh instance on the same options (same endpoint and cache dir).
@@ -178,20 +191,14 @@ class ChaosServer {
     server_->wait();
   }
 
-  /// Whole-run overload counters: each instance's metrics die with it on
-  /// restart, so retired instances are folded into a running total here
-  /// and the live instance added on top — the JSON covers the whole
-  /// chaotic run, not just the last survivor.
+  /// Whole-run counters: each instance's metrics die with it on restart,
+  /// so retired instances are folded into a running total here and the
+  /// live instance added on top — the JSON covers the whole chaotic run,
+  /// not just the last survivor.
   dr::service::MetricsSnapshot metrics() const {
     std::lock_guard<std::mutex> lock(mutex_);
     dr::service::MetricsSnapshot s = server_->metricsSnapshot();
-    s.queueDepthHighWater =
-        std::max(s.queueDepthHighWater, retired_.queueDepthHighWater);
-    s.shedQueueFull += retired_.shedQueueFull;
-    s.shedQueueWait += retired_.shedQueueWait;
-    s.overloadReplies += retired_.overloadReplies;
-    s.expiredRequests += retired_.expiredRequests;
-    s.deadlinesTightened += retired_.deadlinesTightened;
+    fold(s, retired_);
     return s;
   }
 
@@ -201,16 +208,6 @@ class ChaosServer {
   }
 
  private:
-  void foldRetired(const dr::service::MetricsSnapshot& s) {
-    retired_.queueDepthHighWater =
-        std::max(retired_.queueDepthHighWater, s.queueDepthHighWater);
-    retired_.shedQueueFull += s.shedQueueFull;
-    retired_.shedQueueWait += s.shedQueueWait;
-    retired_.overloadReplies += s.overloadReplies;
-    retired_.expiredRequests += s.expiredRequests;
-    retired_.deadlinesTightened += s.deadlinesTightened;
-  }
-
   ServerOptions opts_;
   mutable std::mutex mutex_;
   std::unique_ptr<Server> server_;
@@ -497,16 +494,8 @@ int runHarness(const LoadConfig& cfg) {
   if (killer.joinable()) killer.join();
   dr::support::fault::disarmAll();
   dr::service::MetricsSnapshot serverMetrics = fleet.front()->metrics();
-  for (std::size_t s = 1; s < fleet.size(); ++s) {
-    const dr::service::MetricsSnapshot m = fleet[s]->metrics();
-    serverMetrics.queueDepthHighWater =
-        std::max(serverMetrics.queueDepthHighWater, m.queueDepthHighWater);
-    serverMetrics.shedQueueFull += m.shedQueueFull;
-    serverMetrics.shedQueueWait += m.shedQueueWait;
-    serverMetrics.overloadReplies += m.overloadReplies;
-    serverMetrics.expiredRequests += m.expiredRequests;
-    serverMetrics.deadlinesTightened += m.deadlinesTightened;
-  }
+  for (std::size_t s = 1; s < fleet.size(); ++s)
+    fold(serverMetrics, fleet[s]->metrics());
   dr::service::RouterStats routerStats;
   if (router) {
     routerStats = router->stats();

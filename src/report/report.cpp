@@ -372,24 +372,6 @@ std::string metricsReport(const service::MetricsSnapshot& s) {
     row("expired in queue (rejected)", s.expiredRequests);
     row("deadlines tightened", s.deadlinesTightened);
   }
-  const i64 clientEvents = s.clientRetries + s.breakerTrips +
-                           s.breakerFastFails + s.clientRetryAfterHonored;
-  if (clientEvents > 0) {
-    out += "\n## Client resilience\n\n";
-    out += "| counter | value |\n|---|---|\n";
-    row("retries", s.clientRetries);
-    row("retry-after hints honored", s.clientRetryAfterHonored);
-    row("honored hints that then succeeded", s.clientRetryAfterSuccesses);
-    row("breaker trips", s.breakerTrips);
-    row("breaker resets", s.breakerResets);
-    row("breaker fast-fails", s.breakerFastFails);
-    if (s.clientRetryAfterHonored > 0)
-      out += "\nretry-after efficacy: " +
-             fmtDouble(static_cast<double>(s.clientRetryAfterSuccesses) /
-                           static_cast<double>(s.clientRetryAfterHonored),
-                       3) +
-             " of honored hints were admitted on the next attempt\n";
-  }
   const i64 engineRuns = s.curvesSymbolic + s.curvesExactStream +
                          s.curvesExactFold + s.curvesApproxFold +
                          s.curvesAnalytic;

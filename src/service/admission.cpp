@@ -80,7 +80,6 @@ bool AdmissionQueue::tryPush(int fd) {
                              1, opts_.maxQueueDepth)))
       return false;
     queue_.push_back({fd, std::chrono::steady_clock::now()});
-    highWater_ = std::max(highWater_, static_cast<i64>(queue_.size()));
   }
   cv_.notify_one();
   return true;
@@ -106,11 +105,6 @@ void AdmissionQueue::close() {
 i64 AdmissionQueue::depth() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return static_cast<i64>(queue_.size());
-}
-
-i64 AdmissionQueue::highWater() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return highWater_;
 }
 
 double AdmissionQueue::pressure() const {

@@ -100,7 +100,6 @@ class AdmissionQueue {
   void close();
 
   i64 depth() const;
-  i64 highWater() const;
 
   /// depth / maxQueueDepth in [0, 1] — the tightening ladder's input.
   double pressure() const;
@@ -111,7 +110,6 @@ class AdmissionQueue {
   std::condition_variable cv_;
   std::deque<QueuedConn> queue_;
   bool closed_ = false;
-  i64 highWater_ = 0;
 };
 
 }  // namespace dr::service

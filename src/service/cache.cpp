@@ -40,10 +40,7 @@ CachedCurve cachedCurveOf(std::uint64_t hash,
   if (info) {
     info->ran = true;
     info->fidelity = static_cast<std::uint8_t>(ex.curveFidelity);
-    info->runGranularity = ex.simulationStats.runGranularity;
-    info->runsDecoded = ex.simulationStats.runsDecoded;
-    info->runFastEvents = ex.simulationStats.runFastEvents;
-    info->simulatedEvents = ex.simulationStats.simulatedEvents;
+    info->sim = ex.simulationStats;
   }
   CachedCurve entry;
   entry.configHash = hash;
@@ -88,7 +85,7 @@ void ResultCache::putLocked(CachedCurve entry) {
     bytes_ -= lru_.back().bytes();
     index_.erase(lru_.back().configHash);
     lru_.pop_back();
-    ++evictions_;
+    ++counts_.evictions;
   }
   lru_.push_front(std::move(entry));
   index_[lru_.front().configHash] = lru_.begin();
@@ -109,7 +106,7 @@ support::Expected<CachedCurve> ResultCache::getOrCompute(
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = index_.find(hash);
     if (it != index_.end()) {
-      ++hits_;
+      ++counts_.hits;
       lru_.splice(lru_.begin(), lru_, it->second);
       return *it->second;
     }
@@ -137,7 +134,7 @@ support::Expected<CachedCurve> ResultCache::getOrCompute(
     // the failure is a counter (cache_journal_failures), not an error.
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      ++journalFailures_;
+      ++counts_.journalFailures;
     }
     journaled = false;
     summary = {};
@@ -156,9 +153,9 @@ support::Expected<CachedCurve> ResultCache::getOrCompute(
 
   std::lock_guard<std::mutex> lock(mutex_);
   if (warm)
-    ++warmHits_;
+    ++counts_.warmHits;
   else
-    ++misses_;
+    ++counts_.misses;
   // A degraded curve answers this request but must not answer the next.
   if (simcore::isExact(ex->curveFidelity)) putLocked(entry);
   return entry;
@@ -166,15 +163,10 @@ support::Expected<CachedCurve> ResultCache::getOrCompute(
 
 CacheStats ResultCache::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  CacheStats s;
+  CacheStats s = counts_;
   s.entries = static_cast<i64>(lru_.size());
   s.bytes = bytes_;
   s.maxBytes = opts_.maxBytes;
-  s.hits = hits_;
-  s.warmHits = warmHits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
-  s.journalFailures = journalFailures_;
   return s;
 }
 

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "explorer/explorer.h"
+#include "service/metrics.h"
 #include "support/intmath.h"
 #include "support/status.h"
 
@@ -67,10 +68,7 @@ struct CachedCurve {
 struct ComputeInfo {
   bool ran = false;
   std::uint8_t fidelity = 0;  ///< simcore::Fidelity of the served curve
-  bool runGranularity = false;
-  i64 runsDecoded = 0;
-  i64 runFastEvents = 0;
-  i64 simulatedEvents = 0;
+  simcore::FoldedStats sim;   ///< the exploration's stack-engine counters
 };
 
 /// The cache entry for one finished exploration of `hash`, and its engine
@@ -79,17 +77,11 @@ CachedCurve cachedCurveOf(std::uint64_t hash,
                           const explorer::SignalExploration& ex,
                           ComputeInfo* info);
 
+/// The cache's ledger, one field per DR_CACHE_LEDGER line (metrics.h).
 struct CacheStats {
-  i64 entries = 0;
-  i64 bytes = 0;
-  i64 maxBytes = 0;
-  i64 hits = 0;      ///< memory-layer hits
-  i64 warmHits = 0;  ///< journal rehydrations (zero points recomputed)
-  i64 misses = 0;    ///< required computing at least one curve point
-  i64 evictions = 0;
-  /// Warm-journal I/O failures (ENOSPC and friends) the cache survived
-  /// by recomputing without a journal.
-  i64 journalFailures = 0;
+#define DR_FIELD(field, name, fold, cacheField) i64 cacheField = 0;
+  DR_CACHE_LEDGER(DR_FIELD)
+#undef DR_FIELD
 };
 
 /// Outcome of one scrubWarmDir pass over a warm cache directory.
@@ -155,11 +147,7 @@ class ResultCache {
   std::list<CachedCurve> lru_;
   std::unordered_map<std::uint64_t, std::list<CachedCurve>::iterator> index_;
   i64 bytes_ = 0;
-  i64 hits_ = 0;
-  i64 warmHits_ = 0;
-  i64 misses_ = 0;
-  i64 evictions_ = 0;
-  i64 journalFailures_ = 0;
+  CacheStats counts_;  ///< the event counters; stats() fills the gauges
 };
 
 }  // namespace dr::service

@@ -49,15 +49,6 @@ Status validateClientOptions(const ClientOptions& opts) {
   return Status::ok();
 }
 
-void ClientStats::foldInto(MetricsSnapshot& s) const {
-  s.clientRetries += retries;
-  s.clientRetryAfterHonored += retryAfterHonored;
-  s.clientRetryAfterSuccesses += retryAfterSuccesses;
-  s.breakerTrips += breakerTrips;
-  s.breakerResets += breakerResets;
-  s.breakerFastFails += breakerFastFails;
-}
-
 // ---- CircuitBreaker -----------------------------------------------------
 
 i64 CircuitBreaker::admit() {
@@ -208,22 +199,22 @@ Expected<proto::Reply> Client::attemptOnce(proto::Verb verb,
 }
 
 void Client::onTransportFailure() {
-  transportFailures_.fetch_add(1, std::memory_order_relaxed);
+  counters_.count(ClientCounter::transportFailures);
   if (breaker_.onFailure())
-    breakerTrips_.fetch_add(1, std::memory_order_relaxed);
+    counters_.count(ClientCounter::breakerTrips);
 }
 
 void Client::onTransportSuccess() {
   if (breaker_.onSuccess())
-    breakerResets_.fetch_add(1, std::memory_order_relaxed);
+    counters_.count(ClientCounter::breakerResets);
 }
 
 Expected<proto::Reply> Client::run(
     proto::Verb verb, i64 deadlineMs,
     const std::function<std::string(i64 remainingMs)>& encode) {
   if (Status st = validateClientOptions(opts_); !st.isOk()) return st;
-  const std::uint64_t callIdx =
-      static_cast<std::uint64_t>(calls_.fetch_add(1, std::memory_order_relaxed));
+  const std::uint64_t callIdx = static_cast<std::uint64_t>(
+      counters_.count(ClientCounter::calls));
   const auto t0 = Clock::now();
   const auto remaining = [&]() -> i64 {
     return deadlineMs > 0 ? deadlineMs - msSince(t0) : 0;
@@ -248,7 +239,7 @@ Expected<proto::Reply> Client::run(
   Status lastFailure = Status::error(StatusCode::Internal, "no attempt ran");
   bool honoredHintLastSleep = false;
   for (int attempt = 0; attempt < opts_.maxAttempts; ++attempt) {
-    if (attempt > 0) retries_.fetch_add(1, std::memory_order_relaxed);
+    if (attempt > 0) counters_.count(ClientCounter::retries);
     if (deadlineMs > 0 && remaining() <= 0) return budgetGone(lastFailure);
 
     // Breaker gate: while open, fast-fail and wait out the cooldown
@@ -256,7 +247,7 @@ Expected<proto::Reply> Client::run(
     // we know is dead.
     i64 gateMs = breaker_.admit();
     while (gateMs > 0) {
-      breakerFastFails_.fetch_add(1, std::memory_order_relaxed);
+      counters_.count(ClientCounter::breakerFastFails);
       lastFailure = Status::error(StatusCode::Unavailable,
                                   "circuit breaker open (retry in " +
                                       std::to_string(gateMs) + "ms)");
@@ -285,7 +276,7 @@ Expected<proto::Reply> Client::run(
       if (attempt + 1 >= opts_.maxAttempts) return reply;  // caller sees it
       const i64 hint = std::max<i64>(0, reply->retryAfterMs);
       if (hint > 0) {
-        retryAfterHonored_.fetch_add(1, std::memory_order_relaxed);
+        counters_.count(ClientCounter::retryAfterHonored);
         honoredHintLastSleep = true;
       }
       if (!sleepFor(retryDelayMs(opts_, callIdx, attempt, hint)))
@@ -293,7 +284,7 @@ Expected<proto::Reply> Client::run(
       continue;
     }
     if (honoredHintLastSleep)
-      retryAfterSuccesses_.fetch_add(1, std::memory_order_relaxed);
+      counters_.count(ClientCounter::retryAfterSuccesses);
     return reply;
   }
   return lastFailure;
@@ -326,15 +317,9 @@ Expected<proto::Reply> Client::call(proto::Verb verb,
 
 ClientStats Client::stats() const {
   ClientStats s;
-  s.calls = calls_.load(std::memory_order_relaxed);
-  s.retries = retries_.load(std::memory_order_relaxed);
-  s.retryAfterHonored = retryAfterHonored_.load(std::memory_order_relaxed);
-  s.retryAfterSuccesses =
-      retryAfterSuccesses_.load(std::memory_order_relaxed);
-  s.transportFailures = transportFailures_.load(std::memory_order_relaxed);
-  s.breakerTrips = breakerTrips_.load(std::memory_order_relaxed);
-  s.breakerResets = breakerResets_.load(std::memory_order_relaxed);
-  s.breakerFastFails = breakerFastFails_.load(std::memory_order_relaxed);
+#define DR_COPY(field) s.field = counters_.get(ClientCounter::field);
+  DR_CLIENT_LEDGER(DR_COPY)
+#undef DR_COPY
   return s;
 }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -73,21 +72,21 @@ struct ClientOptions {
 /// or inverted backoff band; Ok otherwise.
 support::Status validateClientOptions(const ClientOptions& opts);
 
-/// The resilience ledger, mirrored into MetricsSnapshot's client-side
-/// fields by foldInto so report::metricsReport renders one combined view.
-struct ClientStats {
-  i64 calls = 0;
-  i64 retries = 0;            ///< attempts after the first, across calls
-  i64 retryAfterHonored = 0;  ///< backoffs stretched to a shed reply's hint
-  i64 retryAfterSuccesses = 0;  ///< honored hints whose next attempt won
-  i64 transportFailures = 0;  ///< connect/send/recv/short-reply failures
-  i64 breakerTrips = 0;
-  i64 breakerResets = 0;
-  i64 breakerFastFails = 0;  ///< attempts refused while the breaker was open
+/// The client's resilience ledger, one line per counter: X(field). It has
+/// no `stats` lines; its owners (datareuse_query, the load harness) print
+/// the fields they report.
+#define DR_CLIENT_LEDGER(X)                                           \
+  X(calls)                                                            \
+  X(retries) /* attempts after the first, across calls */             \
+  X(retryAfterHonored) /* backoffs stretched to a shed reply's hint */ \
+  X(retryAfterSuccesses) /* honored hints whose next attempt won */   \
+  X(transportFailures) /* connect/send/recv/short-reply failures */   \
+  X(breakerTrips)                                                     \
+  X(breakerResets)                                                    \
+  X(breakerFastFails) /* attempts refused while the breaker is open */
 
-  /// Copy this ledger into a snapshot's client-side fields (additive, so
-  /// several clients can fold into one report).
-  void foldInto(MetricsSnapshot& s) const;
+struct ClientStats {
+  DR_CLIENT_LEDGER(DR_LEDGER_I64)
 };
 
 /// Three-state circuit breaker of one Client. Thread-safe; the trip
@@ -184,17 +183,11 @@ class Client {
   void onTransportFailure();
   void onTransportSuccess();
 
+  enum class ClientCounter { DR_CLIENT_LEDGER(DR_LEDGER_ENUM) kCount };
+
   ClientOptions opts_;
   CircuitBreaker breaker_;
-
-  std::atomic<i64> calls_{0};
-  std::atomic<i64> retries_{0};
-  std::atomic<i64> retryAfterHonored_{0};
-  std::atomic<i64> retryAfterSuccesses_{0};
-  std::atomic<i64> transportFailures_{0};
-  std::atomic<i64> breakerTrips_{0};
-  std::atomic<i64> breakerResets_{0};
-  std::atomic<i64> breakerFastFails_{0};
+  CounterArray<ClientCounter> counters_;
 };
 
 }  // namespace dr::service

@@ -150,7 +150,7 @@ support::Expected<i64> FrontDoor::budgetAfterQueue(i64 deadlineMs,
   const i64 remaining = remainingBudgetMs > 0 ? remainingBudgetMs : deadlineMs;
   const i64 budgetMs = remaining - queueWaitMs;
   if (budgetMs > 0) return budgetMs;
-  metrics_.countExpiredRequest();
+  metrics_.count(Counter::expiredRequests);
   return Status::error(StatusCode::BudgetExceeded,
                        std::string("deadline expired before ") +
                            owner_.stage + " (queued " +
@@ -179,11 +179,11 @@ void FrontDoor::acceptLoop() {
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     }
     if (!admission_.tryPush(fd)) {
-      metrics_.countShedQueueFull();
+      metrics_.count(Counter::shedQueueFull);
       shedConnection(fd, "admission queue full");
       continue;
     }
-    metrics_.recordQueueDepth(admission_.depth());
+    metrics_.raise(Counter::queueDepthHighWater, admission_.depth());
   }
   ::close(listenFd_);
   listenFd_ = -1;
@@ -191,13 +191,13 @@ void FrontDoor::acceptLoop() {
 }
 
 void FrontDoor::shedConnection(int fd, const char* why) {
-  metrics_.countOverloadReply();
+  metrics_.count(Counter::overloadReplies);
   proto::Reply reply;
   reply.code = StatusCode::Unavailable;
   reply.message = std::string(owner_.overloaded) + ": " + why;
   reply.retryAfterMs =
       retryAfterHintMs(admissionOptions_, admission_.depth(), workers_,
-                       metrics_.meanExploreLatencyUs());
+                       metrics_.exploreLatency.meanUs());
   // Bound the shed write too: a reply to an overloading client must not
   // park the accept loop behind a full socket buffer.
   transport::setSendTimeoutMs(fd, kRecvTimeoutMs);
@@ -215,7 +215,7 @@ void FrontDoor::workerLoop() {
             .count();
     if (!draining() && admissionOptions_.acceptDeadlineMs > 0 &&
         queueWaitMs > admissionOptions_.acceptDeadlineMs) {
-      metrics_.countShedQueueWait();
+      metrics_.count(Counter::shedQueueWait);
       shedConnection(conn->fd, "accept deadline exceeded");
       continue;
     }
@@ -224,14 +224,14 @@ void FrontDoor::workerLoop() {
     } catch (...) {
       // A request must never take a worker down with it; the connection
       // is already closed or about to be.
-      metrics_.countConnectionDropped();
+      metrics_.count(Counter::connectionsDropped);
     }
     ::close(conn->fd);
   }
 }
 
 void FrontDoor::serveConnection(int fd, i64 queueWaitMs) {
-  metrics_.countConnection();
+  metrics_.count(Counter::connectionsAccepted);
   std::string buffer;
   char chunk[4096];
   while (true) {
@@ -239,13 +239,13 @@ void FrontDoor::serveConnection(int fd, i64 queueWaitMs) {
     while (true) {
       proto::FrameParse parse = proto::tryParseFrame(buffer);
       if (parse.result == proto::ParseResult::Corrupt) {
-        metrics_.countProtocolError();
+        metrics_.count(Counter::protocolErrors);
         writeAll(fd, replyFrame(errorReply(parse.status)));
         return;  // the stream is unsynchronized; drop the connection
       }
       if (parse.result == proto::ParseResult::NeedMore) break;
       buffer.erase(0, parse.consumed);
-      metrics_.countRequest();
+      metrics_.count(Counter::requests);
       bool closeAfter = false;
       std::string reply;
       // Queue wait charges only the connection's first request: later
@@ -259,14 +259,14 @@ void FrontDoor::serveConnection(int fd, i64 queueWaitMs) {
             std::string(owner_.failed) + ": " + e.what())));
       }
       if (!writeAll(fd, reply)) {
-        metrics_.countConnectionDropped();
+        metrics_.count(Counter::connectionsDropped);
         return;
       }
       if (closeAfter) return;
     }
     if (draining()) return;  // finish buffered work, then hang up
     if (support::fault::shouldFail(FaultSite::ServiceIo)) {
-      metrics_.countConnectionDropped();
+      metrics_.count(Counter::connectionsDropped);
       return;
     }
     ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
@@ -277,12 +277,12 @@ void FrontDoor::serveConnection(int fd, i64 queueWaitMs) {
     if (n == 0) {
       // Orderly close. A non-empty buffer means the client vanished
       // mid-frame — the mid-query disconnect a door must survive.
-      if (!buffer.empty()) metrics_.countConnectionDropped();
+      if (!buffer.empty()) metrics_.count(Counter::connectionsDropped);
       return;
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) continue;  // idle timeout
-    metrics_.countConnectionDropped();
+    metrics_.count(Counter::connectionsDropped);
     return;
   }
 }
@@ -294,10 +294,10 @@ std::string FrontDoor::handleFrame(const proto::Frame& frame,
     case proto::Verb::Explore: {
       auto req = proto::decodeExploreRequest(frame.payload);
       if (!req.hasValue()) {
-        metrics_.countProtocolError();
+        metrics_.count(Counter::protocolErrors);
         reply = errorReply(req.status());
       } else {
-        metrics_.countExplore();
+        metrics_.count(Counter::exploreRequests);
         reply = owner_.explore(*req, queueWaitMs);
       }
       break;
@@ -305,20 +305,20 @@ std::string FrontDoor::handleFrame(const proto::Frame& frame,
     case proto::Verb::Advise: {
       auto req = proto::decodeAdviseRequest(frame.payload);
       if (!req.hasValue()) {
-        metrics_.countProtocolError();
+        metrics_.count(Counter::protocolErrors);
         reply = errorReply(req.status());
       } else {
-        metrics_.countAdvise();
+        metrics_.count(Counter::adviseRequests);
         reply = owner_.advise(*req, queueWaitMs);
       }
       break;
     }
     case proto::Verb::Stats:
-      metrics_.countStats();
+      metrics_.count(Counter::statsRequests);
       reply.body = owner_.stats();
       break;
     case proto::Verb::Shutdown:
-      metrics_.countShutdown();
+      metrics_.count(Counter::shutdownRequests);
       owner_.shutdown();
       closeAfter = true;
       break;
@@ -327,7 +327,7 @@ std::string FrontDoor::handleFrame(const proto::Frame& frame,
       // compile, no cache, no locks — a loaded shard must still answer
       // its router's probe promptly or it gets marked down for latency
       // it doesn't have.
-      metrics_.countHealth();
+      metrics_.count(Counter::healthRequests);
       proto::HealthInfo info;
       info.draining = draining();
       info.queueDepth = admission_.depth();
@@ -336,7 +336,7 @@ std::string FrontDoor::handleFrame(const proto::Frame& frame,
       break;
     }
     case proto::Verb::Reply:
-      metrics_.countProtocolError();
+      metrics_.count(Counter::protocolErrors);
       reply = errorReply(Status::error(
           StatusCode::InvalidInput, "clients may not send Reply frames"));
       closeAfter = true;

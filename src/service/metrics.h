@@ -4,21 +4,88 @@
 #include <atomic>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
+#include "simcore/folded_curve.h"
 #include "support/intmath.h"
 
 /// \file metrics.h
 /// Lock-cheap live counters and latency histograms for the exploration
 /// service. Every mutation is a relaxed atomic op (no mutex anywhere on
 /// the request path); snapshot() copies the counters into a plain struct
-/// that the `stats` verb ships to clients and report/ renders as
-/// markdown. Latencies go into power-of-two microsecond buckets, so
-/// p50/p95 are bucket upper bounds — honest to within 2x, which is all a
-/// live dashboard needs.
+/// that the `stats` verb ships to clients and report/ renders as markdown.
+///
+/// Each ledger is one X-macro table, one line per counter: the daemon's
+/// below, the router's (router.h) and the client's (client.h). A new
+/// counter is one table line plus its increment site.
 
 namespace dr::service {
 
 using dr::support::i64;
+
+/// How a counter folds across daemon instances (the shards of a fleet, a
+/// restarted daemon's generations): Max for high-water marks and gauges.
+enum class Fold { Sum, Max };
+
+/// Column helpers: skip a line, or declare column 1 as field or enumerator.
+#define DR_LEDGER_SKIP(...)
+#define DR_LEDGER_I64(field, ...) i64 field = 0;
+#define DR_LEDGER_ENUM(field, ...) field,
+
+/// The result cache's ledger, counted under the cache's own mutex:
+///   X(MetricsSnapshot field, "stats_name", fold, CacheStats field)
+#define DR_CACHE_LEDGER(X)                                           \
+  X(cacheHits, "cache_hits", Sum, hits) /* memory layer */           \
+  X(warmHits, "cache_warm_hits", Sum, warmHits) /* warm journal */   \
+  X(cacheMisses, "cache_misses", Sum, misses) /* computed a point */ \
+  X(cacheEvictions, "cache_evictions", Sum, evictions)               \
+  X(cacheEntries, "cache_entries", Max, entries)                     \
+  X(cacheBytes, "cache_bytes", Max, bytes)                           \
+  X(cacheMaxBytes, "cache_max_bytes", Max, maxBytes)                 \
+  X(cacheJournalFailures, "cache_journal_failures", Sum, journalFailures)
+
+/// The daemon's ledger in `stats` line order. X(MetricsSnapshot field,
+/// "stats_name", fold) lines are Metrics' relaxed atomics, CACHE lines
+/// are copied in by Server::metricsSnapshot, and LATENCY(field, "prefix")
+/// lines are histograms of five `stats` lines each.
+#define DR_DAEMON_LEDGER(X, CACHE, LATENCY)                              \
+  X(connectionsAccepted, "connections_accepted", Sum)                    \
+  X(connectionsDropped, "connections_dropped", Sum) /* mid-query resets */ \
+  X(requests, "requests", Sum)                                           \
+  X(exploreRequests, "explore_requests", Sum)                            \
+  X(statsRequests, "stats_requests", Sum)                                \
+  X(shutdownRequests, "shutdown_requests", Sum)                          \
+  X(healthRequests, "health_requests", Sum)                              \
+  X(protocolErrors, "protocol_errors", Sum) /* corrupt frames */         \
+  X(exploreErrors, "explore_errors", Sum)                                \
+  X(degradedReplies, "degraded_replies", Sum) /* below the exact rungs */ \
+  /* Overload ladder (admission.h); every shed is a structured reply. */ \
+  X(queueDepthHighWater, "queue_depth_hwm", Max)                         \
+  X(shedQueueFull, "shed_queue_full", Sum)                               \
+  X(shedQueueWait, "shed_queue_wait", Sum) /* accept deadline hit */     \
+  X(overloadReplies, "overload_replies", Sum) /* all sheds */            \
+  X(expiredRequests, "expired_requests", Sum) /* budget gone in queue */ \
+  X(deadlinesTightened, "deadlines_tightened", Sum)                      \
+  DR_CACHE_LEDGER(CACHE)                                                 \
+  X(inflightJoins, "inflight_joins", Sum) /* shared a leader's result */ \
+  X(simulations, "simulations", Sum) /* leaders that ran curve points */ \
+  /* Leader computations, in simcore::Fidelity order of the served rung */ \
+  X(curvesSymbolic, "curves_symbolic", Sum)                              \
+  X(curvesExactStream, "curves_exact_stream", Sum)                       \
+  X(curvesExactFold, "curves_exact_fold", Sum)                           \
+  X(curvesApproxFold, "curves_approx_fold", Sum)                         \
+  X(curvesAnalytic, "curves_analytic", Sum)                              \
+  /* Run-granularity stack engine (simcore::FoldedStats) of leaders. */  \
+  X(runsDecoded, "runs_decoded", Sum)                                    \
+  X(runFastEvents, "run_fast_events", Sum)                               \
+  X(runFallbackEvents, "run_fallback_events", Sum)                       \
+  /* Partitioning advisor (Advise verb, src/partition/). */              \
+  X(adviseRequests, "advise_requests", Sum)                              \
+  X(adviseErrors, "advise_errors", Sum)                                  \
+  X(adviseCacheHits, "advise_cache_hits", Sum) /* whole reports */       \
+  X(adviseFallbacks, "advise_fallbacks", Sum) /* greedy, not the DP */   \
+  LATENCY(exploreLatency, "explore_latency") /* end to end */            \
+  LATENCY(adviseSolveLatency, "advise_solve") /* partition solver */
 
 /// Percentile summary of one latency histogram.
 struct LatencySummary {
@@ -29,201 +96,89 @@ struct LatencySummary {
   i64 totalUs = 0; ///< exact sum (throughput math)
 };
 
-/// Plain-data copy of every counter: what `stats` serializes. Deliberately
-/// free of service types so report/ can format it without linking the
-/// service library back into itself.
+/// Plain-data copy of every counter: what `stats` serializes. Free of
+/// service types, so report/ formats it without linking the service.
 struct MetricsSnapshot {
-  i64 connectionsAccepted = 0;
-  i64 connectionsDropped = 0;  ///< read/write failures, mid-query resets
-  i64 requests = 0;
-  i64 exploreRequests = 0;
-  i64 statsRequests = 0;
-  i64 shutdownRequests = 0;
-  i64 healthRequests = 0;  ///< liveness probes answered (Health verb)
-  i64 protocolErrors = 0;  ///< corrupt/oversized/bad-checksum frames
-  i64 exploreErrors = 0;   ///< explore requests answered with an error
-  i64 degradedReplies = 0; ///< served below the exact fidelity rungs
-
-  // Overload ladder (admission.h). Shed replies are structured
-  // Unavailable answers with a retry-after hint, never silent drops.
-  i64 queueDepthHighWater = 0;  ///< deepest the admission queue ever got
-  i64 shedQueueFull = 0;        ///< connections shed: queue at capacity
-  i64 shedQueueWait = 0;        ///< connections shed: accept deadline hit
-  i64 overloadReplies = 0;      ///< Unavailable replies sent (all sheds)
-  i64 expiredRequests = 0;      ///< budget already gone after queue wait
-  i64 deadlinesTightened = 0;   ///< requests whose budget pressure shrank
-
-  // Client-side resilience ledger. The daemon itself always reports
-  // zero here; the client library (client.h) and the load harness fold
-  // their ClientStats into a snapshot so report::metricsReport renders
-  // one combined view of an overload episode.
-  i64 clientRetries = 0;           ///< extra attempts after the first
-  i64 clientRetryAfterHonored = 0; ///< backoffs that obeyed a shed hint
-  i64 clientRetryAfterSuccesses = 0;  ///< honored hints whose retry then won
-  i64 breakerTrips = 0;     ///< Closed -> Open transitions
-  i64 breakerResets = 0;    ///< Open -> Closed transitions (probe succeeded)
-  i64 breakerFastFails = 0; ///< attempts refused while the breaker was open
-
-  i64 cacheHits = 0;    ///< memory-layer hits
-  i64 warmHits = 0;     ///< rehydrated from a --cache-dir journal
-  i64 cacheMisses = 0;  ///< required a fresh computation
-  i64 cacheEvictions = 0;
-  i64 cacheEntries = 0;
-  i64 cacheBytes = 0;
-  i64 cacheMaxBytes = 0;
-  /// Warm-journal write failures (ENOSPC and friends) survived by
-  /// degrading to an unjournaled recompute — the disk-full ladder.
-  i64 cacheJournalFailures = 0;
-
-  i64 inflightJoins = 0;  ///< waiters that shared a leader's computation
-  i64 simulations = 0;    ///< leader computations that ran curve points
-
-  // Partitioning advisor (Advise verb, src/partition/).
-  i64 adviseRequests = 0;
-  i64 adviseErrors = 0;      ///< advise requests answered with an error
-  i64 adviseCacheHits = 0;   ///< whole reports served from the advise cache
-  i64 adviseFallbacks = 0;   ///< solver took the greedy path, not the DP
-
-  /// Engine mix of leader computations, keyed by the fidelity rung of
-  /// the curve each produced (simcore::Fidelity). Memory-cache hits and
-  /// in-flight joins are not counted: no engine touched the request.
-  i64 curvesSymbolic = 0;     ///< closed-form symbolic engine
-  i64 curvesExactStream = 0;  ///< full trace streamed
-  i64 curvesExactFold = 0;    ///< certified steady-state fold
-  i64 curvesApproxFold = 0;   ///< uncertified extrapolation
-  i64 curvesAnalytic = 0;     ///< budget-degraded closed-form rung
-
-  /// Run-granularity stack-engine counters, summed over leader
-  /// computations (simcore::FoldedStats). `runFallbackEvents` counts the
-  /// events a run-decoding engine had to push one element at a time
-  /// because StackDistanceStack::pushRun's closed-form preconditions
-  /// failed for the segment.
-  i64 runsDecoded = 0;
-  i64 runFastEvents = 0;
-  i64 runFallbackEvents = 0;
-
-  LatencySummary exploreLatency;  ///< per explore request, end to end
-  LatencySummary adviseSolveLatency;  ///< partition solver time, per advise
+#define DR_LATENCY_FIELD(field, prefix) LatencySummary field;
+  DR_DAEMON_LEDGER(DR_LEDGER_I64, DR_LEDGER_I64, DR_LATENCY_FIELD)
+#undef DR_LATENCY_FIELD
 };
 
-/// The live counters. One instance per server; shared by every worker.
-class Metrics {
+/// One `stats` body line: "name value\n".
+void appendStatLine(std::string& out, std::string_view name, i64 value);
+
+/// Raise `slot` to at least `value` (monotone CAS max).
+void raiseTo(std::atomic<i64>& slot, i64 value);
+
+/// Relaxed atomic counters indexed by a ledger's enum, whose last value
+/// is kCount: one relaxed atomic op per mutation, no lock, no allocation.
+template <class Key>
+class CounterArray {
  public:
-  // Request-path mutations: all relaxed atomics.
-  void countConnection() { add(connectionsAccepted_); }
-  void countConnectionDropped() { add(connectionsDropped_); }
-  void countRequest() { add(requests_); }
-  void countExplore() { add(exploreRequests_); }
-  void countStats() { add(statsRequests_); }
-  void countShutdown() { add(shutdownRequests_); }
-  void countHealth() { add(healthRequests_); }
-  void countProtocolError() { add(protocolErrors_); }
-  void countExploreError() { add(exploreErrors_); }
-  void countDegradedReply() { add(degradedReplies_); }
-  void countJoin() { add(inflightJoins_); }
-  void countSimulation() { add(simulations_); }
-  void countShedQueueFull() { add(shedQueueFull_); }
-  void countShedQueueWait() { add(shedQueueWait_); }
-  void countOverloadReply() { add(overloadReplies_); }
-  void countExpiredRequest() { add(expiredRequests_); }
-  void countDeadlineTightened() { add(deadlinesTightened_); }
-  void countAdvise() { add(adviseRequests_); }
-  void countAdviseError() { add(adviseErrors_); }
-  void countAdviseCacheHit() { add(adviseCacheHits_); }
-  void countAdviseFallback() { add(adviseFallbacks_); }
-
-  /// Keep the queue-depth high-water mark (monotone CAS max).
-  void recordQueueDepth(i64 depth) {
-    i64 prev = queueDepthHighWater_.load(std::memory_order_relaxed);
-    while (prev < depth && !queueDepthHighWater_.compare_exchange_weak(
-                               prev, depth, std::memory_order_relaxed)) {
-    }
+  /// Add `n`; returns the value before the add.
+  i64 count(Key k, i64 n = 1) {
+    return slots_[index(k)].fetch_add(n, std::memory_order_relaxed);
+  }
+  void raise(Key k, i64 value) { raiseTo(slots_[index(k)], value); }
+  i64 get(Key k) const {
+    return slots_[index(k)].load(std::memory_order_relaxed);
   }
 
-  /// Record one explore request's end-to-end latency.
-  void recordExploreLatencyUs(i64 us) { exploreLatency_.record(us); }
+ private:
+  static std::size_t index(Key k) { return static_cast<std::size_t>(k); }
 
-  /// Record one advise request's partition-solver time.
-  void recordAdviseSolveUs(i64 us) { adviseSolveLatency_.record(us); }
+  std::array<std::atomic<i64>, static_cast<std::size_t>(Key::kCount)>
+      slots_{};
+};
 
-  /// Mean end-to-end explore latency so far (0 before the first request)
-  /// — the live feed of the shed replies' retry-after hint.
-  i64 meanExploreLatencyUs() const {
-    const i64 count = exploreLatency_.count.load(std::memory_order_relaxed);
-    if (count <= 0) return 0;
-    return exploreLatency_.totalUs.load(std::memory_order_relaxed) / count;
+/// A latency histogram in power-of-two microsecond buckets (relaxed
+/// atomics throughout), so a percentile is a bucket upper bound — honest
+/// to within 2x, which is all a live dashboard needs.
+class LatencyHistogram {
+ public:
+  void record(i64 us);
+  i64 count() const { return count_.load(std::memory_order_relaxed); }
+  i64 meanUs() const {  ///< 0 before the first sample
+    return count() > 0 ? totalUs_.load(std::memory_order_relaxed) / count()
+                       : 0;
   }
 
-  /// Record one leader computation's engine outcome: the fidelity rung
-  /// the curve was served at, plus the run-decoding counters of the stack
-  /// engine (all zero for the symbolic and materialized engines).
-  /// Fallback events are simulatedEvents - runFastEvents on a
-  /// run-granularity pass: the per-element pushes taken inside pushRun
-  /// when a segment failed the closed-form preconditions.
-  void recordEngine(std::uint8_t fidelity, bool runGranularity,
-                    i64 runsDecoded, i64 runFastEvents, i64 simulatedEvents);
-
-  /// Copy the counters. `cache*` fields are left zero — the server folds
-  /// its ResultCache::stats() in, since the cache keeps its own stats.
-  MetricsSnapshot snapshot() const;
-
-  /// One line per field, "name value\n" — the machine-greppable payload
-  /// of the `stats` verb (report::metricsReport renders the pretty view).
-  static std::string render(const MetricsSnapshot& s);
+  /// Upper bound of the bucket holding quantile `q`, not clamped to the
+  /// maximum (the exact maximum when the buckets read empty).
+  i64 percentileUs(double q) const;
+  /// p50/p95 as bucket bounds clamped to the exact maximum.
+  LatencySummary summarize() const;
 
  private:
   static constexpr int kBuckets = 48;  ///< bucket i: us < 2^i
 
-  /// One power-of-two latency histogram (relaxed atomics throughout);
-  /// summarize() reports percentiles as bucket upper bounds.
-  struct Histogram {
-    std::array<std::atomic<i64>, kBuckets> buckets{};
-    std::atomic<i64> count{0};
-    std::atomic<i64> totalUs{0};
-    std::atomic<i64> maxUs{0};
+  std::array<std::atomic<i64>, kBuckets> buckets_{};
+  std::atomic<i64> count_{0};
+  std::atomic<i64> totalUs_{0};
+  std::atomic<i64> maxUs_{0};
+};
 
-    void record(i64 us);
-    LatencySummary summarize() const;
-  };
+/// The daemon's counters by name: `metrics.count(Counter::inflightJoins)`.
+enum class Counter {
+  DR_DAEMON_LEDGER(DR_LEDGER_ENUM, DR_LEDGER_SKIP, DR_LEDGER_SKIP) kCount
+};
 
-  void add(std::atomic<i64>& c, i64 n = 1) {
-    c.fetch_add(n, std::memory_order_relaxed);
-  }
+/// The live counters of one daemon's or router's front door.
+class Metrics : public CounterArray<Counter> {
+ public:
+#define DR_HISTOGRAM(field, prefix) LatencyHistogram field;
+  DR_DAEMON_LEDGER(DR_LEDGER_SKIP, DR_LEDGER_SKIP, DR_HISTOGRAM)
+#undef DR_HISTOGRAM
 
-  std::atomic<i64> connectionsAccepted_{0};
-  std::atomic<i64> connectionsDropped_{0};
-  std::atomic<i64> requests_{0};
-  std::atomic<i64> exploreRequests_{0};
-  std::atomic<i64> statsRequests_{0};
-  std::atomic<i64> shutdownRequests_{0};
-  std::atomic<i64> healthRequests_{0};
-  std::atomic<i64> protocolErrors_{0};
-  std::atomic<i64> exploreErrors_{0};
-  std::atomic<i64> degradedReplies_{0};
-  std::atomic<i64> queueDepthHighWater_{0};
-  std::atomic<i64> shedQueueFull_{0};
-  std::atomic<i64> shedQueueWait_{0};
-  std::atomic<i64> overloadReplies_{0};
-  std::atomic<i64> expiredRequests_{0};
-  std::atomic<i64> deadlinesTightened_{0};
-  std::atomic<i64> inflightJoins_{0};
-  std::atomic<i64> simulations_{0};
-  std::atomic<i64> adviseRequests_{0};
-  std::atomic<i64> adviseErrors_{0};
-  std::atomic<i64> adviseCacheHits_{0};
-  std::atomic<i64> adviseFallbacks_{0};
+  /// Count one leader computation's served rung (simcore::Fidelity) and
+  /// its run-decoding counters (fallbacks: per-element pushes in pushRun).
+  void recordEngine(std::uint8_t fidelity, const simcore::FoldedStats& sim);
 
-  std::atomic<i64> curvesSymbolic_{0};
-  std::atomic<i64> curvesExactStream_{0};
-  std::atomic<i64> curvesExactFold_{0};
-  std::atomic<i64> curvesApproxFold_{0};
-  std::atomic<i64> curvesAnalytic_{0};
-  std::atomic<i64> runsDecoded_{0};
-  std::atomic<i64> runFastEvents_{0};
-  std::atomic<i64> runFallbackEvents_{0};
+  /// Copy the counters; the `cache*` fields are the server's to fill.
+  MetricsSnapshot snapshot() const;
 
-  Histogram exploreLatency_;
-  Histogram adviseSolveLatency_;
+  /// The `stats` verb body: one "name value\n" line per field.
+  static std::string render(const MetricsSnapshot& s);
 };
 
 }  // namespace dr::service

@@ -1,7 +1,6 @@
 #include "service/router.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 #include <set>
 #include <type_traits>
@@ -267,7 +266,7 @@ proto::Reply Router::route(const Request& req, i64 queueWaitMs) {
     if (shardUp(idx)) {
       candidates.push_back(idx);
     } else {
-      shardDownSkips_.fetch_add(1, std::memory_order_relaxed);
+      counters_.count(RouterCounter::shardDownSkips);
     }
   }
   // Every shard marked down: the marks may be stale (a restarted shard
@@ -300,7 +299,7 @@ proto::Reply Router::route(const Request& req, i64 queueWaitMs) {
       // keep its hint in case everyone refuses.
       bestHintMs = std::max(bestHintMs, result->retryAfterMs);
       lastFailure = Status::error(StatusCode::Unavailable, result->message);
-      if (!last) failovers_.fetch_add(1, std::memory_order_relaxed);
+      if (!last) counters_.count(RouterCounter::failovers);
       continue;
     }
     lastFailure = result.status();
@@ -308,10 +307,10 @@ proto::Reply Router::route(const Request& req, i64 queueWaitMs) {
     // included) is a verdict, not a dead shard.
     if (lastFailure.code() != StatusCode::IoError)
       return errorReply(lastFailure);
-    if (!last) failovers_.fetch_add(1, std::memory_order_relaxed);
+    if (!last) counters_.count(RouterCounter::failovers);
   }
 
-  exhausted_.fetch_add(1, std::memory_order_relaxed);
+  counters_.count(RouterCounter::exhausted);
   proto::Reply reply;
   reply.code = StatusCode::Unavailable;
   reply.message = "all " + std::to_string(candidates.size()) +
@@ -338,7 +337,7 @@ Expected<proto::Reply> Router::forward(const Request& req, int shardIdx,
     // The hedge delay is derived from Explore forwards only.
     if (std::is_same_v<Request, proto::ExploreRequest> &&
         reply->code == StatusCode::Ok)
-      recordForwardLatencyUs(
+      forwardLatency_.record(
           std::chrono::duration_cast<std::chrono::microseconds>(
               std::chrono::steady_clock::now() - t0)
               .count());
@@ -391,13 +390,13 @@ Expected<proto::Reply> Router::forwardWithHedge(
                        [&] { return state->delivered; });
     if (!state->delivered) {
       lock.unlock();
-      hedgesLaunched_.fetch_add(1, std::memory_order_relaxed);
+      counters_.count(RouterCounter::hedgesLaunched);
       launch(hedgeIdx, /*isHedge=*/true);
       lock.lock();
     }
     state->cv.wait(lock, [&] { return state->delivered; });
     if (state->winnerIsHedge)
-      hedgesWon_.fetch_add(1, std::memory_order_relaxed);
+      counters_.count(RouterCounter::hedgesWon);
     return std::move(*state->result);
   }
 }
@@ -407,7 +406,7 @@ Expected<proto::Reply> Router::forwardWithHedge(
 void Router::probeLoop() {
   while (!draining()) {
     for (std::size_t i = 0; i < shards_.size() && !draining(); ++i) {
-      healthProbes_.fetch_add(1, std::memory_order_relaxed);
+      counters_.count(RouterCounter::healthProbes);
       Client probe(shards_[i]->probeOptions);
       auto reply = probe.call(proto::Verb::Health, "");
       const bool healthy =
@@ -416,7 +415,7 @@ void Router::probeLoop() {
       if (healthy) {
         markShardUp(static_cast<int>(i));
       } else {
-        healthProbeFailures_.fetch_add(1, std::memory_order_relaxed);
+        counters_.count(RouterCounter::healthProbeFailures);
         markShardStrike(static_cast<int>(i));
       }
     }
@@ -433,7 +432,7 @@ void Router::markShardUp(int idx) {
   shard.consecutiveFailures = 0;
   if (!shard.up) {
     shard.up = true;
-    healthFlaps_.fetch_add(1, std::memory_order_relaxed);
+    counters_.count(RouterCounter::healthFlaps);
   }
 }
 
@@ -444,7 +443,7 @@ void Router::markShardStrike(int idx) {
   if (shard.up &&
       shard.consecutiveFailures >= opts_.healthFailureThreshold) {
     shard.up = false;
-    healthFlaps_.fetch_add(1, std::memory_order_relaxed);
+    counters_.count(RouterCounter::healthFlaps);
   }
 }
 
@@ -456,69 +455,26 @@ bool Router::shardUp(int idx) const {
 
 // ---- latency / hedge delay ----------------------------------------------
 
-void Router::recordForwardLatencyUs(i64 us) {
-  if (us < 0) us = 0;
-  int bucket = std::bit_width(static_cast<std::uint64_t>(us));
-  if (bucket >= kLatencyBuckets) bucket = kLatencyBuckets - 1;
-  latencyBuckets_[static_cast<std::size_t>(bucket)].fetch_add(
-      1, std::memory_order_relaxed);
-  latencyCount_.fetch_add(1, std::memory_order_relaxed);
-}
-
 i64 Router::currentHedgeDelayMs() const {
   if (opts_.hedgeDelayMs > 0) return opts_.hedgeDelayMs;
   // p99 of successful forwards, as a bucket upper bound. Until enough
   // samples exist the ceiling applies — hedge conservatively, not off a
   // two-request histogram.
   constexpr i64 kMinSamples = 20;
-  const i64 count = latencyCount_.load(std::memory_order_relaxed);
-  if (count < kMinSamples) return opts_.hedgeMaxDelayMs;
-  std::array<i64, kLatencyBuckets> buckets;
-  i64 total = 0;
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    buckets[static_cast<std::size_t>(i)] =
-        latencyBuckets_[static_cast<std::size_t>(i)].load(
-            std::memory_order_relaxed);
-    total += buckets[static_cast<std::size_t>(i)];
-  }
-  const i64 rank = static_cast<i64>(0.99 * static_cast<double>(total - 1));
-  i64 seen = 0;
-  i64 p99Us = 0;
-  for (int i = 0; i < kLatencyBuckets; ++i) {
-    seen += buckets[static_cast<std::size_t>(i)];
-    if (seen > rank) {
-      p99Us = i == 0 ? 0 : (i64{1} << i) - 1;
-      break;
-    }
-  }
-  const i64 p99Ms = p99Us / 1000 + 1;
+  if (forwardLatency_.count() < kMinSamples) return opts_.hedgeMaxDelayMs;
+  const i64 p99Ms = forwardLatency_.percentileUs(0.99) / 1000 + 1;
   return std::clamp(p99Ms, opts_.hedgeMinDelayMs, opts_.hedgeMaxDelayMs);
 }
 
 // ---- stats --------------------------------------------------------------
 
 RouterStats Router::stats() const {
-  const MetricsSnapshot door = metrics_.snapshot();
   RouterStats s;
-  const auto get = [](const std::atomic<i64>& c) {
-    return c.load(std::memory_order_relaxed);
-  };
-  s.requests = door.requests;
-  s.exploreRequests = door.exploreRequests;
-  s.adviseRequests = door.adviseRequests;
-  s.healthRequests = door.healthRequests;
-  s.statsRequests = door.statsRequests;
-  s.protocolErrors = door.protocolErrors;
-  s.failovers = get(failovers_);
-  s.hedgesLaunched = get(hedgesLaunched_);
-  s.hedgesWon = get(hedgesWon_);
-  s.healthProbes = get(healthProbes_);
-  s.healthProbeFailures = get(healthProbeFailures_);
-  s.healthFlaps = get(healthFlaps_);
-  s.shardDownSkips = get(shardDownSkips_);
-  s.exhausted = get(exhausted_);
-  s.shedQueueFull = door.shedQueueFull;
-  s.expiredRequests = door.expiredRequests;
+#define DR_DOOR(field, name) s.field = metrics_.get(Counter::field);
+#define DR_OWN(field, name) s.field = counters_.get(RouterCounter::field);
+  DR_ROUTER_LEDGER(DR_DOOR, DR_OWN)
+#undef DR_DOOR
+#undef DR_OWN
   s.shardUp.reserve(shards_.size());
   s.shardForwards.reserve(shards_.size());
   for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -531,32 +487,13 @@ RouterStats Router::stats() const {
 
 std::string Router::render(const RouterStats& s) {
   std::string out;
-  const auto line = [&out](const std::string& name, i64 v) {
-    out += name;
-    out += ' ';
-    out += std::to_string(v);
-    out += '\n';
-  };
-  line("router_requests", s.requests);
-  line("router_explore_requests", s.exploreRequests);
-  line("router_advise_requests", s.adviseRequests);
-  line("router_health_requests", s.healthRequests);
-  line("router_stats_requests", s.statsRequests);
-  line("router_protocol_errors", s.protocolErrors);
-  line("router_failovers", s.failovers);
-  line("router_hedges_launched", s.hedgesLaunched);
-  line("router_hedges_won", s.hedgesWon);
-  line("router_health_probes", s.healthProbes);
-  line("router_health_probe_failures", s.healthProbeFailures);
-  line("router_health_flaps", s.healthFlaps);
-  line("router_shard_down_skips", s.shardDownSkips);
-  line("router_exhausted", s.exhausted);
-  line("router_shed_queue_full", s.shedQueueFull);
-  line("router_expired_requests", s.expiredRequests);
+#define DR_LINE(field, name) appendStatLine(out, name, s.field);
+  DR_ROUTER_LEDGER(DR_LINE, DR_LINE)
+#undef DR_LINE
   for (std::size_t i = 0; i < s.shardUp.size(); ++i) {
     const std::string prefix = "router_shard_" + std::to_string(i);
-    line(prefix + "_up", s.shardUp[i] ? 1 : 0);
-    line(prefix + "_forwards", s.shardForwards[i]);
+    appendStatLine(out, prefix + "_up", s.shardUp[i] ? 1 : 0);
+    appendStatLine(out, prefix + "_forwards", s.shardForwards[i]);
   }
   return out;
 }

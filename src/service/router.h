@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <memory>
@@ -135,26 +134,31 @@ struct RouterOptions {
 /// broken client template.
 support::Status validateRouterOptions(const RouterOptions& opts);
 
-/// Router-level counters (the shard daemons keep their own Metrics). The
-/// request, shed and expiry counts come from the router's front-door
-/// Metrics; the rest are the routing walk's own.
+/// The router's ledger in `stats` line order (the shard daemons keep
+/// their own). DOOR(field, "stats_name") lines copy the router's
+/// front-door Metrics counter of the same name; OWN(field, "stats_name")
+/// lines are the routing walk's own relaxed atomics.
+#define DR_ROUTER_LEDGER(DOOR, OWN)                                      \
+  DOOR(requests, "router_requests")                                      \
+  DOOR(exploreRequests, "router_explore_requests")                       \
+  DOOR(adviseRequests, "router_advise_requests")                         \
+  DOOR(healthRequests, "router_health_requests")                         \
+  DOOR(statsRequests, "router_stats_requests")                           \
+  DOOR(protocolErrors, "router_protocol_errors")                         \
+  OWN(failovers, "router_failovers") /* moved to the next replica */     \
+  OWN(hedgesLaunched, "router_hedges_launched")                          \
+  OWN(hedgesWon, "router_hedges_won") /* hedge beat the primary */       \
+  OWN(healthProbes, "router_health_probes")                              \
+  OWN(healthProbeFailures, "router_health_probe_failures")               \
+  OWN(healthFlaps, "router_health_flaps") /* Up<->Down transitions */    \
+  OWN(shardDownSkips, "router_shard_down_skips") /* marked Down */       \
+  OWN(exhausted, "router_exhausted") /* ran out of replicas */           \
+  DOOR(shedQueueFull, "router_shed_queue_full")                          \
+  DOOR(shedQueueWait, "router_shed_queue_wait") /* accept deadline */    \
+  DOOR(expiredRequests, "router_expired_requests") /* budget gone */
+
 struct RouterStats {
-  i64 requests = 0;
-  i64 exploreRequests = 0;
-  i64 adviseRequests = 0;
-  i64 healthRequests = 0;
-  i64 statsRequests = 0;
-  i64 protocolErrors = 0;
-  i64 failovers = 0;        ///< forwards moved to the next ring replica
-  i64 hedgesLaunched = 0;
-  i64 hedgesWon = 0;        ///< hedge replied before the primary
-  i64 healthProbes = 0;
-  i64 healthProbeFailures = 0;
-  i64 healthFlaps = 0;      ///< Up->Down and Down->Up transitions
-  i64 shardDownSkips = 0;   ///< candidates skipped because marked Down
-  i64 exhausted = 0;        ///< requests that ran out of replicas
-  i64 shedQueueFull = 0;
-  i64 expiredRequests = 0;  ///< budget gone after the router's queue wait
+  DR_ROUTER_LEDGER(DR_LEDGER_I64, DR_LEDGER_I64)
   std::vector<bool> shardUp;
   std::vector<i64> shardForwards;  ///< replies obtained from each shard
 };
@@ -245,7 +249,9 @@ class Router {
   void markShardStrike(int idx);
   bool shardUp(int idx) const;
 
-  void recordForwardLatencyUs(i64 us);
+  enum class RouterCounter {
+    DR_ROUTER_LEDGER(DR_LEDGER_SKIP, DR_LEDGER_ENUM) kCount
+  };
 
   RouterOptions opts_;
   ShardRing ring_;
@@ -256,21 +262,9 @@ class Router {
   std::mutex probeWakeMutex_;
   std::condition_variable probeWakeCv_;
 
-  // Routing counters (relaxed; the stats verb snapshots them).
-  std::atomic<i64> failovers_{0};
-  std::atomic<i64> hedgesLaunched_{0};
-  std::atomic<i64> hedgesWon_{0};
-  std::atomic<i64> healthProbes_{0};
-  std::atomic<i64> healthProbeFailures_{0};
-  std::atomic<i64> healthFlaps_{0};
-  std::atomic<i64> shardDownSkips_{0};
-  std::atomic<i64> exhausted_{0};
-
-  /// Power-of-two latency histogram of successful forwards, feeding the
-  /// p99-derived hedge delay.
-  static constexpr int kLatencyBuckets = 48;
-  std::array<std::atomic<i64>, kLatencyBuckets> latencyBuckets_{};
-  std::atomic<i64> latencyCount_{0};
+  CounterArray<RouterCounter> counters_;  ///< the OWN lines of the ledger
+  /// Successful Explore forwards, feeding the p99-derived hedge delay.
+  LatencyHistogram forwardLatency_;
 
   /// Listener, admission queue and worker pool (front_door.h). Declared
   /// after every member its threads use.

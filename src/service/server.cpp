@@ -97,7 +97,7 @@ i64 Server::effectiveDeadlineMs(i64 budgetMs, i64 queueWaitMs) {
   const i64 effectiveMs =
       tightenedDeadlineMs(budgetMs, door_.pressure(), opts_.admission);
   if (effectiveMs > 0 && (budgetMs <= 0 || effectiveMs < budgetMs))
-    metrics_.countDeadlineTightened();
+    metrics_.count(Counter::deadlinesTightened);
   return effectiveMs;
 }
 
@@ -123,13 +123,11 @@ support::Expected<CachedCurve> Server::fetchCurve(
     simulated = static_cast<i64>(ex->simulatedCurve.points.size());
     return cachedCurveOf(hash, *ex, &info);
   }();
-  if (!leader) metrics_.countJoin();
+  if (!leader) metrics_.count(Counter::inflightJoins);
   if (!result.hasValue()) return result;
-  if (simulated > 0) metrics_.countSimulation();
+  if (simulated > 0) metrics_.count(Counter::simulations);
   if (info.ran)
-    metrics_.recordEngine(info.fidelity, info.runGranularity,
-                          info.runsDecoded, info.runFastEvents,
-                          info.simulatedEvents);
+    metrics_.recordEngine(info.fidelity, info.sim);
   *computed = simulated > 0;
   return result;
 }
@@ -138,13 +136,13 @@ proto::Reply Server::handleExplore(const proto::ExploreRequest& req,
                                    i64 queueWaitMs) {
   const auto t0 = std::chrono::steady_clock::now();
   const auto recordLatency = [&] {
-    metrics_.recordExploreLatencyUs(
+    metrics_.exploreLatency.record(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - t0)
             .count());
   };
   const auto fail = [&](const Status& st) {
-    metrics_.countExploreError();
+    metrics_.count(Counter::exploreErrors);
     recordLatency();
     return errorReply(st);
   };
@@ -178,7 +176,7 @@ proto::Reply Server::handleExplore(const proto::ExploreRequest& req,
                            (req.flags & proto::kFlagNoCache) != 0, &computed);
   if (!result.hasValue()) return fail(result.status());
   if (!simcore::isExact(static_cast<simcore::Fidelity>(result->fidelity)))
-    metrics_.countDegradedReply();
+    metrics_.count(Counter::degradedReplies);
 
   proto::ExploreResult body;
   body.cached = !computed;
@@ -195,7 +193,7 @@ proto::Reply Server::handleExplore(const proto::ExploreRequest& req,
 proto::Reply Server::handleAdvise(const proto::AdviseRequest& req,
                                   i64 queueWaitMs) {
   const auto fail = [&](const Status& st) {
-    metrics_.countAdviseError();
+    metrics_.count(Counter::adviseErrors);
     return errorReply(st);
   };
 
@@ -234,7 +232,7 @@ proto::Reply Server::handleAdvise(const proto::AdviseRequest& req,
   const bool noCache = (req.flags & proto::kFlagNoCache) != 0;
   if (!noCache) {
     if (std::optional<AdviseEntry> hit = adviseCacheGet(ahash)) {
-      metrics_.countAdviseCacheHit();
+      metrics_.count(Counter::adviseCacheHits);
       proto::AdviseResult body;
       body.cached = true;
       body.fidelity = hit->fidelity;
@@ -277,11 +275,11 @@ proto::Reply Server::handleAdvise(const proto::AdviseRequest& req,
 
   partition::AdvisorReport report =
       partition::adviseFromCurves(p.name, std::move(objects), aopts.solve);
-  metrics_.recordAdviseSolveUs(report.solveMicros);
-  if (report.result.usedFallback) metrics_.countAdviseFallback();
+  metrics_.adviseSolveLatency.record(report.solveMicros);
+  if (report.result.usedFallback) metrics_.count(Counter::adviseFallbacks);
   const auto worst = static_cast<std::uint8_t>(report.worstFidelity);
   const bool exact = simcore::isExact(report.worstFidelity);
-  if (!exact) metrics_.countDegradedReply();
+  if (!exact) metrics_.count(Counter::degradedReplies);
 
   proto::AdviseResult body;
   body.cached = !anyComputed && !noCache;
@@ -333,13 +331,9 @@ void Server::adviseCachePut(AdviseEntry entry) {
 MetricsSnapshot Server::metricsSnapshot() const {
   MetricsSnapshot s = metrics_.snapshot();
   const CacheStats cs = cache_.stats();
-  s.cacheHits = cs.hits;
-  s.warmHits = cs.warmHits;
-  s.cacheMisses = cs.misses;
-  s.cacheEvictions = cs.evictions;
-  s.cacheEntries = cs.entries;
-  s.cacheBytes = cs.bytes;
-  s.cacheMaxBytes = cs.maxBytes;
+#define DR_COPY(field, name, fold, cacheField) s.field = cs.cacheField;
+  DR_CACHE_LEDGER(DR_COPY)
+#undef DR_COPY
   return s;
 }
 

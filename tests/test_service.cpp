@@ -532,8 +532,8 @@ TEST(SingleFlight, ErrorStatusReachesEveryJoiner) {
 
 TEST(Metrics, LatencyPercentilesUseBucketUpperBounds) {
   dr::service::Metrics m;
-  for (int i = 0; i < 100; ++i) m.recordExploreLatencyUs(10);
-  m.recordExploreLatencyUs(1000000);
+  for (int i = 0; i < 100; ++i) m.exploreLatency.record(10);
+  m.exploreLatency.record(1000000);
   auto s = m.snapshot();
   EXPECT_EQ(s.exploreLatency.count, 101);
   EXPECT_EQ(s.exploreLatency.maxUs, 1000000);
@@ -542,16 +542,193 @@ TEST(Metrics, LatencyPercentilesUseBucketUpperBounds) {
   EXPECT_EQ(s.exploreLatency.totalUs, 100 * 10 + 1000000);
 }
 
+/// A snapshot with every counter set to a distinct value, in `stats` order
+/// (17-22 unused).
+dr::service::MetricsSnapshot fullySetSnapshot() {
+  dr::service::MetricsSnapshot s;
+  s.connectionsAccepted = 1;
+  s.connectionsDropped = 2;
+  s.requests = 3;
+  s.exploreRequests = 4;
+  s.statsRequests = 5;
+  s.shutdownRequests = 6;
+  s.healthRequests = 7;
+  s.protocolErrors = 8;
+  s.exploreErrors = 9;
+  s.degradedReplies = 10;
+  s.queueDepthHighWater = 11;
+  s.shedQueueFull = 12;
+  s.shedQueueWait = 13;
+  s.overloadReplies = 14;
+  s.expiredRequests = 15;
+  s.deadlinesTightened = 16;
+  s.cacheHits = 23;
+  s.warmHits = 24;
+  s.cacheMisses = 25;
+  s.cacheEvictions = 26;
+  s.cacheEntries = 27;
+  s.cacheBytes = 28;
+  s.cacheMaxBytes = 29;
+  s.cacheJournalFailures = 30;
+  s.inflightJoins = 31;
+  s.simulations = 32;
+  s.curvesSymbolic = 33;
+  s.curvesExactStream = 34;
+  s.curvesExactFold = 35;
+  s.curvesApproxFold = 36;
+  s.curvesAnalytic = 37;
+  s.runsDecoded = 38;
+  s.runFastEvents = 39;
+  s.runFallbackEvents = 40;
+  s.adviseRequests = 41;
+  s.adviseErrors = 42;
+  s.adviseCacheHits = 43;
+  s.adviseFallbacks = 44;
+  s.exploreLatency = {45, 46, 47, 48, 49};
+  s.adviseSolveLatency = {50, 51, 52, 53, 54};
+  return s;
+}
+
 TEST(Metrics, RenderEmitsOneLinePerCounter) {
   dr::service::Metrics m;
-  m.countRequest();
-  m.countExplore();
-  m.countSimulation();
+  m.count(dr::service::Counter::requests);
+  m.count(dr::service::Counter::exploreRequests);
+  m.count(dr::service::Counter::simulations);
   auto text = dr::service::Metrics::render(m.snapshot());
   EXPECT_NE(text.find("requests 1\n"), std::string::npos);
   EXPECT_NE(text.find("explore_requests 1\n"), std::string::npos);
   EXPECT_NE(text.find("simulations 1\n"), std::string::npos);
   EXPECT_NE(text.find("cache_hits 0\n"), std::string::npos);
+
+  // Every name, in order, each bound to its own field.
+  EXPECT_EQ(dr::service::Metrics::render(fullySetSnapshot()),
+      "connections_accepted 1\n"
+      "connections_dropped 2\n"
+      "requests 3\n"
+      "explore_requests 4\n"
+      "stats_requests 5\n"
+      "shutdown_requests 6\n"
+      "health_requests 7\n"
+      "protocol_errors 8\n"
+      "explore_errors 9\n"
+      "degraded_replies 10\n"
+      "queue_depth_hwm 11\n"
+      "shed_queue_full 12\n"
+      "shed_queue_wait 13\n"
+      "overload_replies 14\n"
+      "expired_requests 15\n"
+      "deadlines_tightened 16\n"
+      "cache_hits 23\n"
+      "cache_warm_hits 24\n"
+      "cache_misses 25\n"
+      "cache_evictions 26\n"
+      "cache_entries 27\n"
+      "cache_bytes 28\n"
+      "cache_max_bytes 29\n"
+      "cache_journal_failures 30\n"
+      "inflight_joins 31\n"
+      "simulations 32\n"
+      "curves_symbolic 33\n"
+      "curves_exact_stream 34\n"
+      "curves_exact_fold 35\n"
+      "curves_approx_fold 36\n"
+      "curves_analytic 37\n"
+      "runs_decoded 38\n"
+      "run_fast_events 39\n"
+      "run_fallback_events 40\n"
+      "advise_requests 41\n"
+      "advise_errors 42\n"
+      "advise_cache_hits 43\n"
+      "advise_fallbacks 44\n"
+      "explore_latency_count 45\n"
+      "explore_latency_p50_us 46\n"
+      "explore_latency_p95_us 47\n"
+      "explore_latency_max_us 48\n"
+      "explore_latency_total_us 49\n"
+      "advise_solve_count 50\n"
+      "advise_solve_p50_us 51\n"
+      "advise_solve_p95_us 52\n"
+      "advise_solve_max_us 53\n"
+      "advise_solve_total_us 54\n");
+}
+
+TEST(Metrics, ReportRendersAFullySetSnapshotByteForByte) {
+  EXPECT_EQ(dr::report::metricsReport(fullySetSnapshot()),
+      "# Exploration service metrics\n"
+      "\n"
+      "| counter | value |\n"
+      "|---|---|\n"
+      "| connections accepted | 1 |\n"
+      "| connections dropped | 2 |\n"
+      "| requests | 3 |\n"
+      "| explore requests | 4 |\n"
+      "| stats requests | 5 |\n"
+      "| shutdown requests | 6 |\n"
+      "| protocol errors | 8 |\n"
+      "| explore errors | 9 |\n"
+      "| degraded replies | 10 |\n"
+      "| in-flight joins | 31 |\n"
+      "| simulations | 32 |\n"
+      "\n"
+      "## Overload ladder\n"
+      "\n"
+      "| counter | value |\n"
+      "|---|---|\n"
+      "| admission queue high-water mark | 11 |\n"
+      "| shed: queue full | 12 |\n"
+      "| shed: accept deadline | 13 |\n"
+      "| overload (Unavailable) replies | 14 |\n"
+      "| expired in queue (rejected) | 15 |\n"
+      "| deadlines tightened | 16 |\n"
+      "\n"
+      "## Engine mix (leader computations)\n"
+      "\n"
+      "| fidelity rung | curves |\n"
+      "|---|---|\n"
+      "| symbolic (closed form) | 33 |\n"
+      "| exact (streamed) | 34 |\n"
+      "| exact (certified fold) | 35 |\n"
+      "| approximate fold | 36 |\n"
+      "| analytic (degraded) | 37 |\n"
+      "\n"
+      "run-granularity engine: 38 runs decoded, 39 events absorbed in closed form, 40 events fell back to per-element pushes\n"
+      "\n"
+      "## Result cache\n"
+      "\n"
+      "| counter | value |\n"
+      "|---|---|\n"
+      "| hits (memory) | 23 |\n"
+      "| hits (warm journal) | 24 |\n"
+      "| misses | 25 |\n"
+      "| evictions | 26 |\n"
+      "| entries | 27 |\n"
+      "| bytes | 28 |\n"
+      "| byte budget | 29 |\n"
+      "\n"
+      "hit rate: 0.653 over 72 lookups\n"
+      "\n"
+      "## Partitioning advisor\n"
+      "\n"
+      "| counter | value |\n"
+      "|---|---|\n"
+      "| advise requests | 41 |\n"
+      "| advise errors | 42 |\n"
+      "| advise cache hits | 43 |\n"
+      "| solver greedy fallbacks | 44 |\n"
+      "| solve count | 50 |\n"
+      "| solve p50 (us, bucket bound) | 51 |\n"
+      "| solve p95 (us, bucket bound) | 52 |\n"
+      "| solve max (us) | 53 |\n"
+      "\n"
+      "## Explore latency (end to end)\n"
+      "\n"
+      "| stat | value |\n"
+      "|---|---|\n"
+      "| count | 45 |\n"
+      "| p50 (us, bucket bound) | 46 |\n"
+      "| p95 (us, bucket bound) | 47 |\n"
+      "| max (us) | 48 |\n"
+      "| mean (us) | 1 |\n");
 }
 
 // ---- server end to end --------------------------------------------------
@@ -1917,11 +2094,149 @@ TEST(Router, AcceptDeadlineShedsStaleQueuedConnections) {
   ASSERT_TRUE(reply.hasValue()) << reply.status().str();
   EXPECT_EQ(reply->code, StatusCode::Unavailable);
   EXPECT_EQ(reply->message, "router overloaded: accept deadline exceeded");
+  EXPECT_EQ(router.stats().shedQueueWait, 1);
+  EXPECT_NE(dr::service::Router::render(router.stats())
+                .find("router_shed_queue_wait 1\n"),
+            std::string::npos);
 
   router.requestShutdown();
   router.wait();
   shard.server->requestShutdown();
   shard.server->wait();
+}
+
+TEST(Router, RenderEmitsTheLedgerInStatsOrder) {
+  dr::service::RouterStats r;
+  r.requests = 1;
+  r.exploreRequests = 2;
+  r.adviseRequests = 3;
+  r.healthRequests = 4;
+  r.statsRequests = 5;
+  r.protocolErrors = 6;
+  r.failovers = 7;
+  r.hedgesLaunched = 8;
+  r.hedgesWon = 9;
+  r.healthProbes = 10;
+  r.healthProbeFailures = 11;
+  r.healthFlaps = 12;
+  r.shardDownSkips = 13;
+  r.exhausted = 14;
+  r.shedQueueFull = 15;
+  r.expiredRequests = 16;
+  r.shedQueueWait = 17;
+  r.shardUp = {true, false};
+  r.shardForwards = {18, 19};
+  EXPECT_EQ(dr::service::Router::render(r),
+      "router_requests 1\n"
+      "router_explore_requests 2\n"
+      "router_advise_requests 3\n"
+      "router_health_requests 4\n"
+      "router_stats_requests 5\n"
+      "router_protocol_errors 6\n"
+      "router_failovers 7\n"
+      "router_hedges_launched 8\n"
+      "router_hedges_won 9\n"
+      "router_health_probes 10\n"
+      "router_health_probe_failures 11\n"
+      "router_health_flaps 12\n"
+      "router_shard_down_skips 13\n"
+      "router_exhausted 14\n"
+      "router_shed_queue_full 15\n"
+      "router_shed_queue_wait 17\n"
+      "router_expired_requests 16\n"
+      "router_shard_0_up 1\n"
+      "router_shard_0_forwards 18\n"
+      "router_shard_1_up 0\n"
+      "router_shard_1_forwards 19\n");
+}
+
+TEST(Router, DerivedHedgeDelayFollowsForwardP99) {
+  TcpShard shard = startTcpShard();
+  dr::service::RouterOptions ropts;
+  ropts.listen = "127.0.0.1:0";
+  ropts.shards = {shard.endpoint};
+  ropts.hedgeDelayMs = 0;  // derive the delay from the forward p99
+  ropts.healthIntervalMs = 0;
+  dr::service::Router router(ropts);
+  ASSERT_TRUE(router.start().isOk());
+
+  ClientOptions copts;
+  copts.endpoint = shard.endpoint;
+  proto::ExploreRequest req;
+  req.kernel = dr::kernels::motionEstimationSource({32, 32, 4, 4});
+  req.signal = "Old";
+  {
+    // Warm the shard directly, so every routed forward below is a hit.
+    Client direct(copts);
+    auto warm = direct.explore(req);
+    ASSERT_TRUE(warm.hasValue()) << warm.status().str();
+    ASSERT_EQ(warm->code, StatusCode::Ok) << warm->message;
+  }
+
+  // Too few samples for a p99: the ceiling applies.
+  EXPECT_EQ(router.currentHedgeDelayMs(), ropts.hedgeMaxDelayMs);
+  copts.endpoint = transport::toString(router.boundEndpoint());
+  Client client(copts);
+  const auto forward = [&] {
+    auto reply = client.explore(req);
+    ASSERT_TRUE(reply.hasValue()) << reply.status().str();
+    ASSERT_EQ(reply->code, StatusCode::Ok) << reply->message;
+  };
+  for (int i = 0; i < 19; ++i) forward();
+  EXPECT_EQ(router.currentHedgeDelayMs(), ropts.hedgeMaxDelayMs);
+
+  // The 20th forward makes the p99 live: warm hits answer in well under
+  // the ceiling, and the floor still bounds the delay from below.
+  forward();
+  const i64 delayMs = router.currentHedgeDelayMs();
+  EXPECT_GE(delayMs, ropts.hedgeMinDelayMs);
+  EXPECT_LT(delayMs, ropts.hedgeMaxDelayMs);
+
+  router.requestShutdown();
+  router.wait();
+  shard.server->requestShutdown();
+  shard.server->wait();
+}
+
+TEST(Server, StatsVerbCountsWarmJournalFailures) {
+  const std::string dir = tempDir("served_squatted");
+  const std::string kernel = dr::kernels::motionEstimationSource({32, 32, 4, 4});
+  auto compiled = dr::frontend::compileKernelChecked(kernel);
+  ASSERT_TRUE(compiled.hasValue());
+  const int sig = compiled->findSignal("Old");
+  const std::string journal = dr::service::warmJournalPath(
+      dir, dr::explorer::exploreConfigHash(*compiled, sig, {}));
+  // A directory squats on the journal's temp path, with a file inside so
+  // the writer's cleanup cannot remove it: every journal write fails.
+  const std::string squat = journal + ".tmp";
+  ASSERT_EQ(::mkdir(squat.c_str(), 0777), 0);
+  std::ofstream(squat + "/occupant") << "x";
+
+  const std::string sock = socketPath();
+  ServerOptions opts;
+  opts.endpoint = sock;
+  opts.workers = 2;
+  opts.cache.warmDir = dir;
+  Server server(opts);
+  ASSERT_TRUE(server.start().isOk());
+
+  // The query still gets its exact answer; only the journal is missing.
+  auto r = queryExplore(sock, kernel, "Old");
+  ASSERT_TRUE(r.hasValue()) << r.status().str();
+  auto direct = dr::explorer::exploreSignalChecked(*compiled, sig);
+  ASSERT_TRUE(direct.hasValue());
+  EXPECT_EQ(r->csv,
+            dr::report::curveCsv(direct->signalName, direct->simulatedCurve));
+  EXPECT_FALSE(std::ifstream(journal).good());
+
+  auto stats = roundTrip(sock, proto::Verb::Stats, "");
+  ASSERT_TRUE(stats.hasValue());
+  EXPECT_NE(stats->body.find("cache_misses 1\n"), std::string::npos);
+  EXPECT_NE(stats->body.find("cache_journal_failures 1\n"), std::string::npos)
+      << stats->body;
+
+  server.requestShutdown();
+  server.wait();
 }
 
 // ---- warm-cache hygiene -------------------------------------------------

@@ -328,13 +328,25 @@ TEST(ExplorerSymbolic, StrictEngineMatchesStreamingCounts) {
 TEST(ServiceMetrics, EngineMixCountersRenderAndReport) {
   dr::service::Metrics m;
   m.recordEngine(
-      static_cast<std::uint8_t>(dr::simcore::Fidelity::Symbolic), false, 0,
-      0, 0);
+      static_cast<std::uint8_t>(dr::simcore::Fidelity::Symbolic), {});
+  dr::simcore::FoldedStats runs;
+  runs.runGranularity = true;
+  runs.runsDecoded = 120;
+  runs.runFastEvents = 900;
+  runs.simulatedEvents = 1000;
   m.recordEngine(static_cast<std::uint8_t>(dr::simcore::Fidelity::ExactFold),
-                 true, 120, 900, 1000);
+                 runs);
+  for (const auto rung :
+       {dr::simcore::Fidelity::ExactStream, dr::simcore::Fidelity::ApproxFold,
+        dr::simcore::Fidelity::Analytic})
+    m.recordEngine(static_cast<std::uint8_t>(rung), {});
   const auto s = m.snapshot();
+  // Each rung lands on its own counter, once.
   EXPECT_EQ(s.curvesSymbolic, 1);
+  EXPECT_EQ(s.curvesExactStream, 1);
   EXPECT_EQ(s.curvesExactFold, 1);
+  EXPECT_EQ(s.curvesApproxFold, 1);
+  EXPECT_EQ(s.curvesAnalytic, 1);
   EXPECT_EQ(s.runsDecoded, 120);
   EXPECT_EQ(s.runFastEvents, 900);
   EXPECT_EQ(s.runFallbackEvents, 100);  // 1000 simulated - 900 fast

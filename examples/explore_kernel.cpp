@@ -10,7 +10,7 @@
 //                               [--cache-dir DIR]
 //                               [--deadline-ms N] [--curve-out PATH]
 //                               [--hist-out PATH]
-//                               [--engine run|element|streaming|symbolic]
+//                               [--engine auto|streaming|symbolic]
 //
 // Without --kernel it runs on a built-in 2-D convolution example. The
 // kernel language grammar is documented in src/frontend/parser.h.
@@ -29,13 +29,12 @@
 // curve into one document — CSV (long format, a `signal` column ahead of
 // the curve columns) or, with a .json extension, JSON — the partitioning
 // advisor's input surface for external tools. --engine picks the
-// simulation engine:
-// `run` (default, Auto) upgrades to the closed-form symbolic engine when
-// its preconditions hold and otherwise simulates decoded constant-stride
-// runs, `element` forces one event at a time, `streaming` forces the
-// streaming pipeline (no symbolic upgrade), and `symbolic` requires the
-// closed forms (failing on uncovered signals) — byte-identical curves in
-// every case, kept for A/B debugging and the CI symbolic-diff check.
+// fidelity ladder: `auto` (default) upgrades to the closed-form symbolic
+// engine when its preconditions hold and otherwise streams the
+// simulation, `streaming` drops the symbolic rung, and `symbolic`
+// requires the closed forms (failing on uncovered signals) —
+// byte-identical curves in every case, kept for the CI symbolic-diff
+// check.
 
 #include <chrono>
 #include <cstdio>
@@ -223,18 +222,16 @@ int runExploreKernel(int argc, char** argv) {
   std::string signalName = cli.getString("signal", "");
   dr::explorer::ExploreOptions opts;
   opts.runSimulation = !cli.getBool("no-sim", false);
-  const std::string engine = cli.getString("engine", "run");
-  if (engine == "element") {
-    opts.runGranularity = false;
-  } else if (engine == "symbolic") {
+  const std::string engine = cli.getString("engine", "auto");
+  if (engine == "symbolic") {
     opts.engine = dr::explorer::SimEngine::Symbolic;
   } else if (engine == "streaming") {
     // Force the streaming pipeline even where the symbolic engine would
     // apply — the A/B reference for the CI symbolic-diff check.
     opts.engine = dr::explorer::SimEngine::Streaming;
-  } else if (engine != "run") {
+  } else if (engine != "auto") {
     std::fprintf(stderr,
-                 "error: --engine must be 'element', 'run', 'streaming' or "
+                 "error: --engine must be 'auto', 'streaming' or "
                  "'symbolic'\n");
     return 1;
   }

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <fstream>
-#include <functional>
 #include <limits>
 #include <optional>
+#include <span>
 #include <utility>
+#include <variant>
 
 #include "analytic/symbolic_hist.h"
 #include "loopir/normalize.h"
@@ -49,105 +50,44 @@ const AnalyticPoint* pickAtGamma(const AccessAnalysis& acc, i64 g,
   return best ? best : smallest;
 }
 
-/// The degradation ladder's last rung: a curve from closed forms alone —
-/// combined analytic points, per-access multi-level footprints, and
-/// working-set knees — when the budget tripped before any simulation
-/// produced full-trace counts. Sorted ascending by size, one point per
-/// size (best reuse factor wins), every point tagged Analytic.
-simcore::ReuseCurve analyticFallbackCurve(const SignalExploration& result) {
-  std::vector<simcore::ReusePoint> pts;
-  auto add = [&](i64 size, i64 misses, i64 reads) {
-    if (size <= 0 || misses <= 0 || reads <= 0) return;
-    simcore::ReusePoint p;
-    p.size = size;
-    p.writes = misses;
-    p.reads = reads;
-    p.reuseFactor =
-        static_cast<double>(reads) / static_cast<double>(misses);
-    p.fidelity = simcore::Fidelity::Analytic;
-    pts.push_back(p);
-  };
-  for (const AnalyticPoint& pt : result.combinedPoints)
-    if (!pt.bypass) add(pt.size, pt.CjTotal, pt.CtotCopyTotal);
-  for (const AccessAnalysis& a : result.accesses)
-    for (const analytic::MultiLevelPoint& pt : a.multiLevel)
-      add(pt.size, pt.misses, pt.Ctot);
-  for (const auto& knees : result.kneesPerNest)
-    for (const analytic::LevelKnee& k : knees)
-      add(k.workingSetMax, k.misses, k.Ctot);
-
-  std::sort(pts.begin(), pts.end(),
-            [](const simcore::ReusePoint& a, const simcore::ReusePoint& b) {
-              if (a.size != b.size) return a.size < b.size;
-              return a.reuseFactor > b.reuseFactor;
-            });
-  simcore::ReuseCurve curve;
-  for (const simcore::ReusePoint& p : pts)
-    if (curve.points.empty() || curve.points.back().size != p.size)
-      curve.points.push_back(p);
-  return curve;
-}
-
 /// Bump whenever a simulation-engine or size-planning change alters the
 /// numbers a journal would persist: resumes against journals written by
 /// older code then restart clean instead of mixing generations.
 constexpr std::uint64_t kJournalCodeVersion = 2;
 
-/// Strict-engine rejection (SimEngine::Symbolic on a signal the closed
-/// forms do not cover). Thrown out of exploreSignalImpl and converted to
-/// an InvalidInput status by the checked facades.
-struct SymbolicRejectError {
-  std::string reason;
-};
+/// The simulated sweep's size grid is dense (every size) up to here.
+constexpr i64 kDenseGridUpTo = 64;
+/// Step 2's analytic points: every partial stride, bypass variants, at
+/// most 64 partial points per level.
+constexpr analytic::AnalyticCurveOptions kAnalyticOptions{};
+/// designChains offers at most this many simulated-curve points.
+constexpr i64 kMaxSimulatedCandidates = 12;
 
 /// FNV-1a 64 over a canonical description of everything that determines
 /// the journaled curve: the normalized kernel text, the signal, the
 /// engine and size-grid configuration, and the format/code versions. The
 /// budget is deliberately excluded — a budgeted and an unbudgeted run ask
-/// the same question, so one may resume the other. runGranularity is
-/// excluded for the same reason: the run-decoded and per-element engines
-/// are byte-identical, so either may resume (or serve cached results to)
-/// the other.
+/// the same question, so one may resume the other.
 std::uint64_t journalConfigHash(const Program& pn, int signal,
                                 const ExploreOptions& opts) {
   std::string blob = loopir::programToString(pn);
   blob += "\nsignal=" + std::to_string(signal);
   blob += " engine=" + std::to_string(static_cast<int>(opts.engine));
   blob += " sim=" + std::to_string(opts.runSimulation ? 1 : 0);
-  blob += " dense=" + std::to_string(opts.denseGridUpTo);
+  blob += " dense=" + std::to_string(kDenseGridUpTo);
   blob += " knees=" + std::to_string(opts.includeWorkingSetKnees ? 1 : 0);
-  blob += " stride=" + std::to_string(opts.analyticOptions.partialStride);
-  blob += " bypass=" + std::to_string(opts.analyticOptions.withBypass ? 1 : 0);
+  blob += " stride=" + std::to_string(kAnalyticOptions.partialStride);
+  blob += " bypass=" + std::to_string(kAnalyticOptions.withBypass ? 1 : 0);
   blob += " maxpp=" +
-          std::to_string(opts.analyticOptions.maxPartialPointsPerLevel);
-  for (i64 s : opts.extraSizes) blob += " x" + std::to_string(s);
+          std::to_string(kAnalyticOptions.maxPartialPointsPerLevel);
   blob += " fmt=" + std::to_string(support::kJournalFormatVersion);
   blob += " code=" + std::to_string(kJournalCodeVersion);
   return support::fnv1a(blob);
 }
 
-/// The journaled-run state threaded through exploreSignalImpl: the
-/// record a prior run left (config hash already checked), and whether it
-/// answered this run.
-struct JournalHook {
-  const support::JournalRecord* record = nullptr;
-  bool replayed = false;
-};
-
 simcore::ReusePoint pointAt(i64 size, const simcore::SimResult& r,
                             simcore::Fidelity fidelity) {
   return {size, r.misses, r.accesses, r.reuseFactor(), fidelity};
-}
-
-/// The simulated curve at `sizes` (sorted, deduplicated): one histogram
-/// lookup per size, every point tagged with the run's rung.
-void assembleCurve(SignalExploration& result, const std::vector<i64>& sizes,
-                   const simcore::StackHistogram& h) {
-  result.simulatedCurve.points.clear();
-  result.simulatedCurve.points.reserve(sizes.size());
-  for (i64 s : sizes)
-    result.simulatedCurve.points.push_back(
-        pointAt(s, h.resultAt(s), result.curveFidelity));
 }
 
 /// The durable record of a freshly computed curve.
@@ -171,48 +111,6 @@ support::JournalRecord recordOf(const SignalExploration& result,
   for (const simcore::ReusePoint& pt : result.simulatedCurve.points)
     rec.points.push_back({pt.size, pt.writes, pt.reads});
   return rec;
-}
-
-/// Replace the engine pass with a loaded record when it was written for
-/// this stream: an exact rung, the same read count, and exactly the
-/// sizes this run plans (they follow from the recorded footprint).
-/// Returns false, leaving `result` as it was, otherwise.
-bool replayRecord(SignalExploration& result, const support::JournalRecord& rec,
-                  const std::function<std::vector<i64>()>& plannedSizes) {
-  const support::JournalMeta& m = rec.meta;
-  const auto fidelity = static_cast<simcore::Fidelity>(m.fidelity);
-  if (!simcore::isExact(fidelity) || m.Ctot != result.Ctot) return false;
-  const i64 countedDistinct = result.distinctElements;
-  result.distinctElements = m.distinct;
-  const std::vector<i64> sizes = plannedSizes();
-  bool same = sizes.size() == rec.points.size();
-  for (std::size_t i = 0; same && i < sizes.size(); ++i)
-    same = sizes[i] == rec.points[i].size;
-  if (!same) {
-    result.distinctElements = countedDistinct;
-    return false;
-  }
-  simcore::FoldedStats& st = result.simulationStats;
-  st.folded = m.folded != 0;
-  st.exact = m.exact != 0;
-  st.completed = true;
-  st.fidelity = fidelity;
-  st.totalEvents = m.totalEvents;
-  st.simulatedEvents = m.simulatedEvents;
-  st.period = m.period;
-  st.repeatCount = m.repeatCount;
-  st.warmupEvents = m.warmupEvents;
-  st.foldPeriodChunks = m.foldPeriodChunks;
-  st.distinct = m.distinct;
-  result.curveFidelity = fidelity;
-  result.simulatedCurve.points.clear();
-  for (const support::JournalPoint& jp : rec.points) {
-    simcore::SimResult r;
-    r.accesses = jp.reads;
-    r.misses = jp.writes;
-    result.simulatedCurve.points.push_back(pointAt(jp.size, r, fidelity));
-  }
-  return true;
 }
 
 }  // namespace
@@ -294,12 +192,211 @@ std::vector<hierarchy::CandidatePoint> toCandidates(
 
 namespace {
 
-/// The curve stage (steps 1-4). `hook` carries a loaded journal record
-/// that may replace the engine pass; nullptr is the plain exploreSignal
-/// path, and a replayed curve must stay byte-identical to it.
-SignalExploration exploreSignalImpl(const Program& p, int signal,
-                                    const ExploreOptions& opts,
-                                    JournalHook* hook) {
+/// The sizes the simulated curve is read at, for a stream of `distinct`
+/// elements: the size grid plus every analytic, knee and multi-level size
+/// of steps 2 and 3.
+std::vector<i64> plannedSizes(const SignalExploration& result, i64 distinct) {
+  std::vector<i64> sizes =
+      simcore::sizeGrid(std::max<i64>(1, distinct), kDenseGridUpTo);
+  for (const AnalyticPoint& pt : result.combinedPoints)
+    if (pt.size > 0) sizes.push_back(pt.size);
+  for (const auto& knees : result.kneesPerNest)
+    for (const analytic::LevelKnee& knee : knees)
+      if (knee.workingSetMax > 0) sizes.push_back(knee.workingSetMax);
+  for (const AccessAnalysis& a : result.accesses)
+    for (const analytic::MultiLevelPoint& pt : a.multiLevel)
+      if (pt.size > 0) sizes.push_back(pt.size);
+  std::sort(sizes.begin(), sizes.end());
+  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+  return sizes;
+}
+
+/// The stream rung's engine, shared with orderingSweep's validation: the
+/// folded OPT stack-distance histogram of `signal`'s reads, streamed from
+/// a trace cursor and never materialized.
+simcore::StackHistogram foldedOptHistogram(const Program& pn,
+                                           const dr::trace::AddressMap& map,
+                                           int signal,
+                                           const support::RunBudget* budget,
+                                           simcore::FoldedStats* stats) {
+  dr::trace::TraceFilter filter;
+  filter.signal = signal;  // reads only (the filter's default)
+  dr::trace::TraceCursor cursor(pn, map, filter);
+  return simcore::foldedStackHistogram(
+      cursor, dr::trace::detectPeriod(cursor.nests()), simcore::Policy::Opt,
+      stats, {.budget = budget});
+}
+
+/// A rung's answer: the stream totals it produced (stats.fidelity names
+/// the rung, stats.distinct is its own distinct-element count) and its
+/// counts, as a histogram for the walk to read at the planned sizes or as
+/// finished points.
+struct RungCurve {
+  simcore::FoldedStats stats;
+  std::optional<simcore::StackHistogram> hist;
+  simcore::ReuseCurve curve;  ///< when there is no histogram
+};
+
+/// A rung's failed precondition: the walk goes on to the next rung.
+struct Reject {
+  std::string reason;
+};
+
+using RungResult = std::variant<RungCurve, Reject>;
+
+/// What the rungs of one walk read: the request with steps 1-3 done.
+struct Walk {
+  const Program& pn;
+  const dr::trace::AddressMap& map;
+  const SignalExploration& result;
+  const support::RunBudget* budget;
+  const support::JournalRecord* record;  ///< a prior run's, or null
+  /// The stream rung's totals when a budget trip stopped it before any
+  /// full-trace counts: the analytic rung keeps them.
+  simcore::FoldedStats tripped;
+};
+
+using Rung = RungResult (*)(Walk&);
+
+/// Record replay: a loaded journal record answers when it was written for
+/// this stream — an exact rung, the same read count, and exactly the sizes
+/// this run plans (they follow from the recorded footprint).
+RungResult replayRung(Walk& w) {
+  if (!w.record) return Reject{};
+  const support::JournalMeta& m = w.record->meta;
+  const auto fidelity = static_cast<simcore::Fidelity>(m.fidelity);
+  bool same = simcore::isExact(fidelity) && m.Ctot == w.result.Ctot;
+  if (same) {
+    const std::vector<i64> sizes = plannedSizes(w.result, m.distinct);
+    same = sizes.size() == w.record->points.size();
+    for (std::size_t i = 0; same && i < sizes.size(); ++i)
+      same = sizes[i] == w.record->points[i].size;
+  }
+  if (!same)
+    return Reject{"journal record does not cover the planned curve sizes"};
+  RungCurve c;
+  simcore::FoldedStats& st = c.stats;
+  st.folded = m.folded != 0;
+  st.exact = m.exact != 0;
+  st.fidelity = fidelity;
+  st.totalEvents = m.totalEvents;
+  st.simulatedEvents = m.simulatedEvents;
+  st.period = m.period;
+  st.repeatCount = m.repeatCount;
+  st.warmupEvents = m.warmupEvents;
+  st.foldPeriodChunks = m.foldPeriodChunks;
+  st.distinct = m.distinct;
+  for (const support::JournalPoint& jp : w.record->points)
+    c.curve.points.push_back(pointAt(
+        jp.size, {.accesses = jp.reads, .misses = jp.writes}, fidelity));
+  return c;
+}
+
+/// Closed forms: the whole OPT stack-distance histogram from the nest
+/// geometry when the read stream is a covered trace class — no trace
+/// walked, query time independent of the iteration counts.
+RungResult symbolicRung(Walk& w) {
+  auto sym = analytic::symbolicStackHistogram(w.pn, w.result.signal,
+                                              simcore::Policy::Opt);
+  if (!sym.hasValue())
+    return Reject{sym.status().message() +
+                  " (the simulated sweep is OPT; analytic::symbolicReuseCurve "
+                  "serves LRU curves directly)"};
+  DR_REQUIRE_MSG(sym->hist.accesses == w.result.Ctot,
+                 "symbolic engine disagrees with the cursor on the stream "
+                 "length");
+  RungCurve c;
+  c.stats.fidelity = simcore::Fidelity::Symbolic;
+  c.stats.totalEvents = w.result.Ctot;
+  c.stats.distinct = sym->hist.distinct();
+  c.hist = std::move(sym->hist);
+  return c;
+}
+
+/// The streamed simulation: an exact stream or a certified fold, or an
+/// approximate fold when the budget trips after full-trace counts exist.
+/// A trip before that rejects.
+RungResult streamRung(Walk& w) {
+  RungCurve c;
+  c.hist =
+      foldedOptHistogram(w.pn, w.map, w.result.signal, w.budget, &c.stats);
+  if (c.stats.completed) return c;
+  w.tripped = c.stats;
+  return Reject{"budget tripped before any full-trace counts"};
+}
+
+/// The last rung, after a trip stopped the stream before any full-trace
+/// counts: a curve from closed forms alone — combined analytic points,
+/// per-access multi-level footprints, and working-set knees — under the
+/// tripped stream's totals. Sorted ascending by size, one point per size
+/// (best reuse factor wins), every point tagged Analytic.
+RungResult analyticRung(Walk& w) {
+  std::vector<simcore::ReusePoint> pts;
+  auto add = [&](i64 size, i64 misses, i64 reads) {
+    if (size <= 0 || misses <= 0 || reads <= 0) return;
+    pts.push_back(pointAt(size, {.accesses = reads, .misses = misses},
+                          simcore::Fidelity::Analytic));
+  };
+  for (const AnalyticPoint& pt : w.result.combinedPoints)
+    if (!pt.bypass) add(pt.size, pt.CjTotal, pt.CtotCopyTotal);
+  for (const AccessAnalysis& a : w.result.accesses)
+    for (const analytic::MultiLevelPoint& pt : a.multiLevel)
+      add(pt.size, pt.misses, pt.Ctot);
+  for (const auto& knees : w.result.kneesPerNest)
+    for (const analytic::LevelKnee& k : knees)
+      add(k.workingSetMax, k.misses, k.Ctot);
+
+  std::sort(pts.begin(), pts.end(),
+            [](const simcore::ReusePoint& a, const simcore::ReusePoint& b) {
+              if (a.size != b.size) return a.size < b.size;
+              return a.reuseFactor > b.reuseFactor;
+            });
+  RungCurve c;
+  c.stats = w.tripped;
+  c.stats.fidelity = simcore::Fidelity::Analytic;
+  for (const simcore::ReusePoint& p : pts)
+    if (c.curve.points.empty() || c.curve.points.back().size != p.size)
+      c.curve.points.push_back(p);
+  return c;
+}
+
+/// The reference oracle: collect the whole trace, then simulate it.
+RungResult materializedRung(Walk& w) {
+  const dr::trace::Trace trace =
+      dr::trace::readTrace(w.pn, w.map, w.result.signal);
+  RungCurve c;
+  c.stats.totalEvents = trace.length();
+  c.stats.simulatedEvents = trace.length();
+  c.stats.distinct = trace.distinctCount();
+  c.curve = simcore::simulateReuseCurve(
+      trace, plannedSizes(w.result, c.stats.distinct));
+  return c;
+}
+
+/// Each engine's fidelity ladder, top rung first (DESIGN.md).
+std::span<const Rung> rungsOf(SimEngine engine) {
+  static constexpr Rung kAuto[] = {replayRung, symbolicRung, streamRung,
+                                   analyticRung};
+  static constexpr Rung kStreaming[] = {replayRung, streamRung, analyticRung};
+  static constexpr Rung kMaterialized[] = {replayRung, materializedRung};
+  static constexpr Rung kSymbolic[] = {replayRung, symbolicRung};
+  switch (engine) {
+    case SimEngine::Auto: return kAuto;
+    case SimEngine::Streaming: return kStreaming;
+    case SimEngine::Materialized: return kMaterialized;
+    case SimEngine::Symbolic: return kSymbolic;
+  }
+  DR_UNREACHABLE("unknown SimEngine");
+}
+
+/// The curve stage (steps 1-4). `record` is a loaded journal record for
+/// the replay rung (null on the plain exploreSignal path; a replayed curve
+/// must stay byte-identical to it); `replayRejection` receives the replay
+/// rung's reason when it turns the record down. Running out of rungs — a
+/// strict symbolic rejection — is an InvalidInput status.
+support::Expected<SignalExploration> exploreSignalImpl(
+    const Program& p, int signal, const ExploreOptions& opts,
+    const support::JournalRecord* record, std::string* replayRejection) {
   DR_REQUIRE(signal >= 0 && signal < static_cast<int>(p.signals.size()));
   SignalExploration result;
   result.signal = signal;
@@ -308,28 +405,12 @@ SignalExploration exploreSignalImpl(const Program& p, int signal,
   const Program pn = loopir::normalized(p);
   dr::trace::AddressMap map(pn);
 
-  // 1. Trace. The streaming engines (Auto/Streaming) never materialize
-  // it: a TraceCursor provides the read count and — when simulation is
-  // on — one folded OPT stack-distance histogram in step 4 answers every
-  // curve size at once. Materialized keeps the original
-  // collect-then-simulate flow as the reference oracle.
-  const bool streaming = opts.engine != SimEngine::Materialized;
+  // 1. The read count, from a trace cursor: no engine materializes the
+  // trace here.
   dr::trace::TraceFilter filter;
   filter.signal = signal;  // reads only (the filter's default)
-  dr::trace::Trace trace;  // filled on the materialized path only
-  if (streaming) {
-    result.Ctot = dr::trace::TraceCursor(pn, map, filter).length();
-    DR_REQUIRE_MSG(result.Ctot > 0, "signal is never read");
-  } else {
-    trace = dr::trace::readTrace(pn, map, signal);
-    result.Ctot = trace.length();
-    result.distinctElements = trace.distinctCount();
-    DR_REQUIRE_MSG(result.Ctot > 0, "signal is never read");
-    result.simulationStats.totalEvents = result.Ctot;
-    result.simulationStats.simulatedEvents =
-        opts.runSimulation ? result.Ctot : 0;
-    result.simulationStats.distinct = result.distinctElements;
-  }
+  result.Ctot = dr::trace::TraceCursor(pn, map, filter).length();
+  DR_REQUIRE_MSG(result.Ctot > 0, "signal is never read");
 
   // 2. Analytic points per read access; accesses with identical index
   // expressions share one copy-candidate (paper Section 6.4), so they are
@@ -374,7 +455,7 @@ SignalExploration exploreSignalImpl(const Program& p, int signal,
             nest.body[static_cast<std::size_t>(analysis.accessIndex)];
         if (nest.depth() >= 2)
           analysis.points =
-              analytic::analyticReusePoints(nest, acc, opts.analyticOptions);
+              analytic::analyticReusePoints(nest, acc, kAnalyticOptions);
         analysis.multiLevel = analytic::multiLevelPoints(nest, acc);
       });
   // Scale the merged groups' read counts: the copy content and fills are
@@ -408,120 +489,48 @@ SignalExploration exploreSignalImpl(const Program& p, int signal,
     }
   }
 
-  // The read footprint without a trace: a single nest's level-0 knee, or
-  // the union of the level-0 windows over the nests reading the signal.
-  // The streamed explore without simulation counts no footprint, and
-  // neither do the degraded rungs: an approximate fold extrapolates it,
-  // an unfinished stream never counted it.
-  auto readFootprint = [&] {
-    if (result.kneesPerNest.size() == 1 &&
-        !result.kneesPerNest.front().empty())
-      return result.kneesPerNest.front().front().workingSetMax;
-    return analytic::distinctReadElements(pn, map, signal);
-  };
-  if (streaming && !opts.runSimulation) {
-    result.distinctElements = readFootprint();
-    result.simulationStats.totalEvents = result.Ctot;
-  }
-
-  // 4. Simulated Belady curve over grid + analytic sizes + knee sizes.
-  // The degradation ladder lands here: a budget trip that still produced
-  // full-trace counts (certified or approximate fold) keeps the simulated
-  // curve at that rung; a trip before any full-trace counts existed
-  // (simulationStats.completed == false) drops to the closed-form rung.
-  if (opts.runSimulation) {
-    auto plannedSizes = [&] {
-      std::vector<i64> sizes =
-          simcore::sizeGrid(std::max<i64>(1, result.distinctElements),
-                            opts.denseGridUpTo);
-      for (const AnalyticPoint& pt : result.combinedPoints)
-        if (pt.size > 0) sizes.push_back(pt.size);
-      for (const auto& knees : result.kneesPerNest)
-        for (const analytic::LevelKnee& knee : knees)
-          if (knee.workingSetMax > 0) sizes.push_back(knee.workingSetMax);
-      for (const AccessAnalysis& a : result.accesses)
-        for (const analytic::MultiLevelPoint& pt : a.multiLevel)
-          if (pt.size > 0) sizes.push_back(pt.size);
-      sizes.insert(sizes.end(), opts.extraSizes.begin(),
-                   opts.extraSizes.end());
-      std::sort(sizes.begin(), sizes.end());
-      sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
-      return sizes;
-    };
-
-    if (hook && hook->record &&
-        replayRecord(result, *hook->record, plannedSizes)) {
-      // The loaded record answered every planned size: no engine pass.
-      hook->replayed = true;
-    } else if (!streaming) {
-      result.curveFidelity = simcore::Fidelity::ExactStream;
-      result.simulatedCurve =
-          simcore::simulateReuseCurve(trace, plannedSizes());
-    } else {
-      // Top fidelity rung: the symbolic engine answers the whole OPT
-      // stack-distance histogram in closed form when the signal's read
-      // stream is a covered trace class — no trace walked, query time
-      // independent of the iteration counts. Values are byte-identical
-      // to the folded/streamed engines (pinned by tests and fuzzing);
-      // only the fidelity tag differs. Auto falls through to the fold
-      // path on rejection; SimEngine::Symbolic makes rejection fatal.
-      bool symbolicDone = false;
-      if (opts.engine == SimEngine::Auto ||
-          opts.engine == SimEngine::Symbolic) {
-        auto sym = analytic::symbolicStackHistogram(pn, signal,
-                                                    simcore::Policy::Opt);
-        if (sym.hasValue()) {
-          const simcore::StackHistogram& h = sym->hist;
-          DR_REQUIRE_MSG(h.accesses == result.Ctot,
-                         "symbolic engine disagrees with the cursor on "
-                         "the stream length");
-          result.distinctElements = h.distinct();
-          result.simulationStats.folded = false;
-          result.simulationStats.exact = true;
-          result.simulationStats.completed = true;
-          result.simulationStats.fidelity = simcore::Fidelity::Symbolic;
-          result.simulationStats.totalEvents = result.Ctot;
-          result.simulationStats.simulatedEvents = 0;
-          result.simulationStats.distinct = result.distinctElements;
-          result.curveFidelity = simcore::Fidelity::Symbolic;
-          assembleCurve(result, plannedSizes(), h);
-          symbolicDone = true;
-        } else if (opts.engine == SimEngine::Symbolic) {
-          throw SymbolicRejectError{
-              sym.status().message() +
-              " (the simulated sweep is OPT; analytic::symbolicReuseCurve "
-              "serves LRU curves directly)"};
-        }
-      }
-      if (!symbolicDone) {
-        dr::trace::TraceCursor cursor(pn, map, filter);
-        const dr::trace::PeriodInfo period =
-            dr::trace::detectPeriod(cursor.nests());
-        simcore::FoldedCurveOptions foldOpts;
-        foldOpts.budget = opts.budget;
-        foldOpts.runGranularity = opts.runGranularity;
-        const simcore::StackHistogram h = simcore::foldedStackHistogram(
-            cursor, period, simcore::Policy::Opt, &result.simulationStats,
-            foldOpts);
-        result.distinctElements = h.distinct();
-        if (!result.simulationStats.completed) {
-          result.simulatedCurve = analyticFallbackCurve(result);
-          result.curveFidelity = simcore::Fidelity::Analytic;
-          result.distinctElements = readFootprint();
-          result.simulationStats.distinct = result.distinctElements;
-        } else {
-          if (result.simulationStats.fidelity ==
-              simcore::Fidelity::ApproxFold) {
-            result.distinctElements = readFootprint();
-            result.simulationStats.distinct = result.distinctElements;
-          }
-          result.curveFidelity = result.simulationStats.fidelity;
-          assembleCurve(result, plannedSizes(), h);
-        }
-      }
+  // 4. The simulated Belady curve: walk the engine's rungs top down; the
+  // first that answers serves the curve. Without simulation no rung is
+  // walked.
+  const std::span<const Rung> rungs =
+      opts.runSimulation ? rungsOf(opts.engine) : std::span<const Rung>{};
+  Walk walk{pn, map, result, opts.budget, record, {}};
+  RungCurve answer;
+  answer.stats.totalEvents = result.Ctot;
+  std::string rejection;
+  auto rung = rungs.begin();
+  for (; rung != rungs.end(); ++rung) {
+    RungResult r = (*rung)(walk);
+    if (auto* c = std::get_if<RungCurve>(&r)) {
+      answer = std::move(*c);
+      break;
     }
+    rejection = std::move(std::get<Reject>(r).reason);
+    if (*rung == replayRung && replayRejection) *replayRejection = rejection;
   }
+  if (!rungs.empty() && rung == rungs.end())
+    return support::Status::error(support::StatusCode::InvalidInput,
+                                  rejection);
 
+  // The answer lands here, and only here. An exact rung counted the
+  // distinct elements itself. A degraded rung extrapolated the count or
+  // never finished it, and without simulation nothing counted it: those
+  // take the read footprint from the closed forms — a single nest's
+  // level-0 knee, or the union of the level-0 windows.
+  simcore::FoldedStats& st = answer.stats;
+  if (rungs.empty() || !simcore::isExact(st.fidelity))
+    st.distinct = result.kneesPerNest.size() == 1 &&
+                          !result.kneesPerNest.front().empty()
+                      ? result.kneesPerNest.front().front().workingSetMax
+                      : analytic::distinctReadElements(pn, map, signal);
+  if (answer.hist)
+    for (i64 s : plannedSizes(result, st.distinct))
+      answer.curve.points.push_back(
+          pointAt(s, answer.hist->resultAt(s), st.fidelity));
+  result.distinctElements = st.distinct;
+  result.curveFidelity = st.fidelity;
+  result.simulationStats = st;
+  result.simulatedCurve = std::move(answer.curve);
   return result;
 }
 
@@ -545,16 +554,12 @@ support::Status validateSignalRequest(const Program& p, int signal) {
 }
 
 /// Run `explore`, converting the input-driven exceptions into statuses:
-/// a strict symbolic rejection, checked arithmetic giving out on the
-/// requested bounds (8K+ frames on deep level products), and allocation
-/// failure.
+/// checked arithmetic giving out on the requested bounds (8K+ frames on
+/// deep level products), and allocation failure.
 template <class Explore>
 support::Expected<SignalExploration> runChecked(const Explore& explore) {
   try {
     return explore();
-  } catch (const SymbolicRejectError& e) {
-    return support::Status::error(support::StatusCode::InvalidInput,
-                                  e.reason);
   } catch (const support::OverflowError& e) {
     return support::Status::error(support::StatusCode::Overflow, e.what());
   } catch (const std::bad_alloc&) {
@@ -567,7 +572,8 @@ support::Expected<SignalExploration> runChecked(const Explore& explore) {
 
 SignalExploration exploreSignal(const Program& p, int signal,
                                 const ExploreOptions& opts) {
-  return exploreSignalImpl(p, signal, opts, nullptr);
+  auto ex = exploreSignalImpl(p, signal, opts, nullptr, nullptr);
+  return std::move(ex.value());
 }
 
 void designChains(const Program& p, SignalExploration& ex,
@@ -582,7 +588,7 @@ void designChains(const Program& p, SignalExploration& ex,
   std::vector<hierarchy::CandidatePoint> candidates;
   if (modeledCtot > 0)
     candidates = toCandidates(ex.combinedPoints, modeledCtot);
-  hierarchy::EnumerateOptions chainOpts = opts.chainOptions;
+  hierarchy::EnumerateOptions chainOpts;
   chainOpts.directBackgroundReads = ex.Ctot - modeledCtot;
 
   if (ex.kneesPerNest.size() == 1 && modeledCtot == ex.Ctot) {
@@ -620,7 +626,7 @@ void designChains(const Program& p, SignalExploration& ex,
   // ratios so the candidate count stays bounded. Only meaningful when the
   // simulated counts cover the whole signal (they always do: the trace is
   // the signal's full read stream).
-  if (opts.includeSimulatedCandidates && opts.runSimulation &&
+  if (opts.runSimulation &&
       ex.curveFidelity != simcore::Fidelity::Analytic &&
       chainOpts.directBackgroundReads == 0 &&
       !ex.simulatedCurve.points.empty()) {
@@ -636,7 +642,7 @@ void designChains(const Program& p, SignalExploration& ex,
         if (saturated) break;  // smallest saturating size is enough
       }
     }
-    while (static_cast<i64>(picked.size()) > opts.maxSimulatedCandidates)
+    while (static_cast<i64>(picked.size()) > kMaxSimulatedCandidates)
       picked.erase(picked.begin() + 1);  // keep the extremes
     for (const simcore::ReusePoint* pt : picked) {
       hierarchy::CandidatePoint c;
@@ -666,7 +672,8 @@ support::Expected<SignalExploration> exploreSignalChecked(
     const Program& p, int signal, const ExploreOptions& opts) {
   if (support::Status st = validateSignalRequest(p, signal); !st.isOk())
     return st;
-  return runChecked([&] { return exploreSignal(p, signal, opts); });
+  return runChecked(
+      [&] { return exploreSignalImpl(p, signal, opts, nullptr, nullptr); });
 }
 
 support::Expected<SignalExploration> exploreSignalChecked(
@@ -701,21 +708,20 @@ support::Expected<SignalExploration> exploreSignalChecked(
     summary->restarted = !prior;
   }
 
-  JournalHook hook;
-  hook.record = prior ? &*prior : nullptr;
-  auto ex = runChecked(
-      [&] { return exploreSignalImpl(p, signal, opts, &hook); });
+  std::string replayRejection;
+  auto ex = runChecked([&] {
+    return exploreSignalImpl(p, signal, opts, prior ? &*prior : nullptr,
+                             &replayRejection);
+  });
   if (!ex.hasValue()) return ex;
   const i64 points = static_cast<i64>(ex->simulatedCurve.points.size());
-  if (hook.replayed) {
-    summary->pointsReused = points;
-    return ex;
-  }
-  if (prior && opts.runSimulation) {
+  if (!replayRejection.empty()) {
     summary->journalLoaded = false;
     summary->restarted = true;
-    summary->restartReason =
-        "journal record does not cover the planned curve sizes";
+    summary->restartReason = replayRejection;
+  } else if (prior && opts.runSimulation) {
+    summary->pointsReused = points;  // the record answered: no engine pass
+    return ex;
   }
   if (ex->curveFidelity != simcore::Fidelity::Analytic)
     summary->pointsRecomputed = points;
@@ -816,17 +822,10 @@ std::vector<OrderingResult> orderingSweep(const Program& p, int signal,
       Program reorderedProgram = pn;
       reorderedProgram.nests[static_cast<std::size_t>(nestIdx)] =
           loopir::permuted(nest, r.perm);
-      dr::trace::AddressMap rmap(reorderedProgram);
-      dr::trace::TraceFilter f;
-      f.signal = signal;
-      dr::trace::TraceCursor cursor(reorderedProgram, rmap, f);
-      const dr::trace::PeriodInfo period =
-          dr::trace::detectPeriod(cursor.nests());
       simcore::FoldedStats stats;
-      simcore::FoldedCurveOptions foldOpts;
-      foldOpts.budget = budget;
-      const simcore::StackHistogram h = simcore::foldedStackHistogram(
-          cursor, period, simcore::Policy::Opt, &stats, foldOpts);
+      const simcore::StackHistogram h = foldedOptHistogram(
+          reorderedProgram, dr::trace::AddressMap(reorderedProgram), signal,
+          budget, &stats);
       if (!stats.completed) return;  // budget tripped: leave simMisses = -1
       r.simMisses = h.missesAt(r.bestSize);
       r.simExact = stats.exact;

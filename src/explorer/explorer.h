@@ -21,15 +21,17 @@
 /// size Pareto curve points with and without bypass", Section 6.3). Two
 /// stages. The curve stage, which every exploreSignal* overload returns:
 ///
-///   1. count the signal's reads; only SimEngine::Materialized collects
-///      the trace,
+///   1. count the signal's reads on a trace cursor,
 ///   2. produce the analytical curve points per access (max + partial +
 ///      bypass) and the closed-form multi-level footprints,
 ///   3. derive the working-set knees per loop level,
-///   4. produce the simulated (Belady) reuse-factor curve down the
-///      fidelity ladder (symbolic, streamed/folded, analytic fallback).
-///      Without simulation, the distinct-element count comes from the
-///      level-0 windows of step 3 instead, as on the degraded rungs.
+///   4. produce the simulated (Belady) reuse-factor curve by walking the
+///      engine's fidelity ladder (DESIGN.md) top down: record replay,
+///      symbolic, stream (exact stream, certified fold, or approximate
+///      fold after a budget trip), analytic fallback. Each rung answers
+///      or rejects; the first answer serves the curve. Without simulation
+///      no rung is walked, and the distinct-element count comes from the
+///      level-0 windows of step 3, as on the degraded rungs.
 ///
 /// Steps 2 and 3 run no walk of the iteration space when each knee group
 /// reads through one index expression (footprint.h, curve.h): footprints,
@@ -53,44 +55,29 @@ namespace dr::explorer {
 
 using dr::support::i64;
 
-/// Which trace engine feeds the simulated curve.
+/// Which fidelity ladder feeds the simulated curve.
 enum class SimEngine {
-  Auto,          ///< symbolic when closed forms apply, else streaming
-  Streaming,     ///< force the streaming pipeline
-  Materialized,  ///< collect the full trace first — the reference oracle
-  /// Force the closed-form symbolic engine (analytic/symbolic_hist.h):
-  /// the whole stack-distance histogram from nest geometry, no trace
+  Auto,          ///< replay, symbolic, stream, analytic fallback
+  Streaming,     ///< the same without the symbolic rung
+  Materialized,  ///< replay, then collect the trace and simulate: an oracle
+  /// Replay, then the closed-form symbolic engine (analytic/symbolic_hist.h)
+  /// only: the whole stack-distance histogram from nest geometry, no trace
   /// walked. Fails with InvalidInput when the signal falls outside the
   /// covered trace classes instead of falling back.
   Symbolic,
 };
 
+/// The exploration request's settings, each set by some caller. The rest
+/// is fixed in explorer.cpp: the size grid and the analytic point options
+/// (rendered into exploreConfigHash from there), and the chain
+/// enumeration options and simulated candidates of designChains.
 struct ExploreOptions {
   bool runSimulation = true;  ///< Belady sweep (skip for analytic-only runs)
-  /// Trace engine for the simulated sweep. Auto/Streaming never
-  /// materialize the trace: one folded OPT stack-distance histogram
-  /// answers every curve size (byte-identical to Materialized, pinned by
-  /// tests); Materialized keeps the original collect-then-simulate flow.
+  /// Fidelity ladder of the simulated sweep. Every exact rung answers the
+  /// same bytes (pinned by tests); only the fidelity tag differs.
   SimEngine engine = SimEngine::Auto;
-  std::vector<i64> extraSizes;  ///< extra sizes for the simulated sweep
-  i64 denseGridUpTo = 64;
-  analytic::AnalyticCurveOptions analyticOptions;
-  hierarchy::EnumerateOptions chainOptions;
   dr::power::MemoryLibrary library = dr::power::MemoryLibrary::standard();
   bool includeWorkingSetKnees = true;
-  /// Also feed selected points of the simulated Belady curve into the
-  /// chain enumeration — the paper's Fig. 4b builds its Pareto curve from
-  /// exactly those points. Points are subsampled at roughly equal reuse
-  /// ratios; requires runSimulation.
-  bool includeSimulatedCandidates = true;
-  i64 maxSimulatedCandidates = 12;
-  /// Drive the streaming engines at run granularity (decoded
-  /// constant-stride bursts, simcore/folded_curve.h) instead of one event
-  /// at a time. Byte-identical results either way — it is deliberately
-  /// *excluded* from the exploration config hash, so cached results are
-  /// shared across engines; flip with explore_kernel --engine for A/B
-  /// debugging.
-  bool runGranularity = true;
   /// Cooperative resource budget shared by every stage of the run
   /// (support/budget.h). A trip never aborts the exploration — the
   /// simulated curve degrades down the ladder instead: exact streaming →

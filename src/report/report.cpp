@@ -354,6 +354,7 @@ std::string metricsReport(const service::MetricsSnapshot& s) {
   row("explore requests", s.exploreRequests);
   row("stats requests", s.statsRequests);
   row("shutdown requests", s.shutdownRequests);
+  row("health requests", s.healthRequests);
   row("protocol errors", s.protocolErrors);
   row("explore errors", s.exploreErrors);
   row("degraded replies", s.degradedReplies);
@@ -400,6 +401,7 @@ std::string metricsReport(const service::MetricsSnapshot& s) {
   row("entries", s.cacheEntries);
   row("bytes", s.cacheBytes);
   row("byte budget", s.cacheMaxBytes);
+  row("warm journal write failures", s.cacheJournalFailures);
   const i64 lookups = s.cacheHits + s.warmHits + s.cacheMisses;
   if (lookups > 0)
     out += "\nhit rate: " +

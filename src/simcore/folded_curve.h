@@ -110,8 +110,8 @@ struct FoldedCurveOptions {
   /// path) when the cursor's runLengthHint says the decode can pay off.
   /// Byte-identical to the element path by construction (pushRun falls
   /// back to push() whenever a closed form's precondition fails), so this
-  /// is a pure speed knob; --engine=element in explore_kernel flips it
-  /// for A/B debugging.
+  /// is a pure speed knob; only bench_scaling_hd clears it, for its
+  /// run-vs-element A/B and the CI guard that reads it.
   bool runGranularity = true;
   /// Cooperative resource budget, polled at chunk boundaries (attached to
   /// the cursor for the run). A trip degrades rather than aborts: a

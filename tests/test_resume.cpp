@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -14,7 +15,12 @@
 #include <vector>
 
 #include "explorer/explorer.h"
+#include "frontend/frontend.h"
+#include "kernels/conv2d.h"
+#include "kernels/matmul.h"
 #include "kernels/motion_estimation.h"
+#include "kernels/susan.h"
+#include "kernels/wavelet.h"
 #include "support/budget.h"
 
 namespace {
@@ -233,10 +239,11 @@ TEST(Resume, ConfigMismatchRestartsCleanWithReason) {
   auto first = exploreSignalChecked(p, signal, optsA, ctx, nullptr);
   ASSERT_TRUE(first.hasValue());
 
-  // Same journal path, different size grid: the journal answers a
-  // different question and must be discarded, not partially reused.
+  // Same journal path, no working-set knees (so other planned sizes): the
+  // journal answers a different question and must be discarded, not
+  // partially reused.
   ExploreOptions optsB;
-  optsB.denseGridUpTo = 16;
+  optsB.includeWorkingSetKnees = false;
   auto plainB = exploreSignalChecked(p, signal, optsB);
   ASSERT_TRUE(plainB.hasValue());
   ResumeSummary summary;
@@ -345,6 +352,81 @@ TEST(Resume, BadRequestsAreStatusesNotCrashes) {
       exploreSignalChecked(p, 99, ExploreOptions{}, ctx, nullptr);
   ASSERT_FALSE(badSignal.hasValue());
   EXPECT_EQ(badSignal.status().code(), StatusCode::InvalidInput);
+}
+
+TEST(ConfigHash, PinnedForEveryReadSignalOfTheExampleKernels) {
+  // The config hash names journal records, --cache-dir warm files, the
+  // service's cache keys and the router's shard placements, so a change
+  // that moves it strands every file and placement made before. These
+  // literals pin it for every read signal of the built-in kernels and the
+  // example .krn files: default options, then each setting it hashes.
+  struct Pin {
+    const char* kernel;
+    const char* signal;
+    std::uint64_t hash[6];  // default, no sim, no knees, Streaming,
+                            // Materialized, Symbolic
+  };
+  const Pin pins[] = {
+      {"conv2d", "img", {0x29fb2aa74ba43099ULL, 0x778860f4df7aa874ULL,
+                         0x614478ff3941f466ULL, 0x9d537d6c2df109e4ULL,
+                         0x0d000696b537b57bULL, 0x761ed108d7e3bb66ULL}},
+      {"conv2d", "w", {0x945b9ac417f3e2baULL, 0xaa5d96f69e64bd07ULL,
+                       0x44bae6d9becb104dULL, 0x42cc763e0ec77b9fULL,
+                       0xb227670497217cc8ULL, 0x9f742ad6bfda0b4dULL}},
+      {"matmul", "A", {0x2acb4a4d6c4a1270ULL, 0x081e1e53a24aeaf5ULL,
+                       0xd125e5f23e5b0bd3ULL, 0xac83ec1c07286f75ULL,
+                       0x4414bfc816877802ULL, 0x274d2066699708e7ULL}},
+      {"matmul", "B", {0x0c0c2f45b63d3b07ULL, 0xf60a33132fcc60baULL,
+                       0x27feaed559783154ULL, 0x489713bd7e0242a2ULL,
+                       0xa96ae9250387c595ULL, 0xc49f5934e663e210ULL}},
+      {"me", "New", {0x6365cf5d0105d186ULL, 0xebc4617d63d89903ULL,
+                     0x800d82e448f53eb9ULL, 0x69bc56916bb1701bULL,
+                     0x09e9e4c748093284ULL, 0xa9eaec0263830039ULL}},
+      {"me", "Old", {0xc70e40efa697fdb5ULL, 0x89edd8deebb1b230ULL,
+                     0xc1f5779e0ebf6f42ULL, 0xe5880b1686d42db0ULL,
+                     0x58a8e4a0d7cc6227ULL, 0xb2d6379f2ebedf42ULL}},
+      {"susan", "image", {0x74fb72b8a6867491ULL, 0x1dbffbc61d8fd30cULL,
+                          0x6ae6195f2ac0731eULL, 0x1da756cdf5d0549cULL,
+                          0x27e10f57172ffe93ULL, 0xc35ae1fe77eab6feULL}},
+      {"wavelet", "x", {0x05dc3cc522bb6e6fULL, 0x3884c9ba02cdb142ULL,
+                        0x07d4513177a5fefcULL, 0x054484eb2102494aULL,
+                        0x9553d389b9257eddULL, 0x2f1daeb40fc6ab58ULL}},
+      {"downsample", "in", {0x54336927f8518af7ULL, 0x41c5eff5ab6ed7aaULL,
+                            0xe6b4daa9e2d8e884ULL, 0x682b02b7e6840192ULL,
+                            0xca2a478ed9da46c5ULL, 0x22605d2e737e8740ULL}},
+      {"hfilter", "img", {0xc42ad6feae2c1a8bULL, 0x1571d03d3ac0450eULL,
+                          0xd8e24410be056f28ULL, 0x594e7c68ffbf2436ULL,
+                          0xa17f28193af24f69ULL, 0x44a1b68b2c60dcf4ULL}},
+      {"matvec", "A", {0xbf4b96162b7d5f5bULL, 0x0201fc36ff6b659eULL,
+                       0xd5c6e9bde06cd1b8ULL, 0xaefcd4dba79c79c6ULL,
+                       0x73429e3090b19b79ULL, 0x3e1dd334afa2d3c4ULL}},
+      {"matvec", "x", {0x97c79728e505db64ULL, 0x1d46cb604899c949ULL,
+                       0x225cb59a935f2957ULL, 0x246f446402b90219ULL,
+                       0x7092eac58ef88ce6ULL, 0x077420536c4c86fbULL}},
+  };
+  const auto program = [](const std::string& name) {
+    if (name == "conv2d") return dr::kernels::conv2d({});
+    if (name == "matmul") return dr::kernels::matmul({});
+    if (name == "me") return dr::kernels::motionEstimation({});
+    if (name == "susan") return dr::kernels::susan({});
+    if (name == "wavelet") return dr::kernels::waveletLifting({});
+    return dr::frontend::compileKernelFile(
+        std::string(DR_EXAMPLE_KERNELS_DIR) + "/" + name + ".krn");
+  };
+  std::vector<ExploreOptions> settings(6);
+  settings[1].runSimulation = false;
+  settings[2].includeWorkingSetKnees = false;
+  settings[3].engine = SimEngine::Streaming;
+  settings[4].engine = SimEngine::Materialized;
+  settings[5].engine = SimEngine::Symbolic;
+  for (const Pin& pin : pins) {
+    const dr::loopir::Program p = program(pin.kernel);
+    const int signal = p.findSignal(pin.signal);
+    ASSERT_GE(signal, 0) << pin.kernel << " " << pin.signal;
+    for (std::size_t i = 0; i < settings.size(); ++i)
+      EXPECT_EQ(exploreConfigHash(p, signal, settings[i]), pin.hash[i])
+          << pin.kernel << " " << pin.signal << " setting " << i;
+  }
 }
 
 }  // namespace

@@ -664,6 +664,7 @@ TEST(Metrics, ReportRendersAFullySetSnapshotByteForByte) {
       "| explore requests | 4 |\n"
       "| stats requests | 5 |\n"
       "| shutdown requests | 6 |\n"
+      "| health requests | 7 |\n"
       "| protocol errors | 8 |\n"
       "| explore errors | 9 |\n"
       "| degraded replies | 10 |\n"
@@ -704,6 +705,7 @@ TEST(Metrics, ReportRendersAFullySetSnapshotByteForByte) {
       "| entries | 27 |\n"
       "| bytes | 28 |\n"
       "| byte budget | 29 |\n"
+      "| warm journal write failures | 30 |\n"
       "\n"
       "hit rate: 0.653 over 72 lookups\n"
       "\n"

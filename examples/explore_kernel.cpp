@@ -45,6 +45,7 @@
 #include "explorer/explorer.h"
 #include "frontend/frontend.h"
 #include "kernels/conv2d.h"
+#include "loopir/normalize.h"
 #include "loopir/printer.h"
 #include "report/report.h"
 #include "service/cache.h"
@@ -186,9 +187,12 @@ bool exploreOne(const dr::loopir::Program& p, int signal,
     std::printf("    (%zu Pareto points, subsampled)\n", ex.pareto.size());
 
   if (emitCode) {
-    // Emit the maximum-reuse template for the first canonical access.
+    // Emit the maximum-reuse template for the first canonical access. The
+    // pair analysis and the template take step-1 loops; normalizing is
+    // the identity on a nest whose loops already step by 1.
+    const dr::loopir::Program pn = dr::loopir::normalized(p);
     for (const auto& acc : ex.accesses) {
-      const auto& nest = p.nests[static_cast<std::size_t>(acc.nest)];
+      const auto& nest = pn.nests[static_cast<std::size_t>(acc.nest)];
       for (int level = nest.depth() - 2; level >= 0; --level) {
         auto m = dr::analytic::analyzePair(
             nest, nest.body[static_cast<std::size_t>(acc.accessIndex)],
@@ -197,7 +201,7 @@ bool exploreOne(const dr::loopir::Program& p, int signal,
             m.cls.vec.cprime < 1 || m.cls.vec.flippedK ||
             m.reuseRepeat != 1)
           continue;
-        auto code = dr::codegen::generateCopyTemplate(p, acc.nest,
+        auto code = dr::codegen::generateCopyTemplate(pn, acc.nest,
                                                       acc.accessIndex, m);
         std::printf("\n  transformed code (nest %d, access %d, level %d):\n"
                     "%s\n",

@@ -8,18 +8,52 @@
 // consumed region must not parse to the same accepted frame, and the
 // verb-specific payload decoders must reject or accept without crashing.
 // NeedMore must be an honest answer: appending more bytes may complete
-// the frame but a prefix of a frame never parses as Ok.
+// the frame but a prefix of a frame never parses as Ok. The frame
+// checksum itself (support::crc32, table-driven) must equal its bitwise
+// definition on the input, whole and chained at an input-chosen split.
 
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 #include <string_view>
 
 #include "fuzz_util.h"
 #include "service/protocol.h"
+#include "support/hash.h"
 
 namespace proto = dr::service::proto;
 
+namespace {
+
+/// support::crc32's definition, one bit at a time: each byte is two
+/// nibble steps, low nibble first, each folding the running value's low
+/// nibble through eight shift-xor rounds of 0xEDB88320.
+std::uint32_t crc32Bitwise(const uint8_t* p, size_t n, std::uint32_t seed) {
+  const auto step = [](std::uint32_t s) {
+    std::uint32_t c = s & 0x0F;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    return c ^ (s >> 4);
+  };
+  std::uint32_t c = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    c = step(c ^ (p[i] & 0x0Fu));
+    c = step(c ^ (p[i] >> 4));
+  }
+  return ~c;
+}
+
+}  // namespace
+
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
+  const std::uint32_t crc = crc32Bitwise(data, size, 0);
+  if (dr::support::crc32(data, size) != crc) std::abort();
+  if (size > 0) {
+    const size_t split = data[0] % size;
+    if (dr::support::crc32(data + split, size - split,
+                           dr::support::crc32(data, split)) != crc)
+      std::abort();
+  }
+
   const std::string_view bytes(reinterpret_cast<const char*>(data), size);
   const proto::FrameParse parse = proto::tryParseFrame(bytes);
 

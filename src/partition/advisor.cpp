@@ -181,13 +181,20 @@ support::Expected<AdvisorReport> adviseKernelChecked(
 
 std::uint64_t adviseConfigHash(const loopir::Program& p,
                                const AdvisorOptions& opts) {
-  std::uint64_t h = support::fnv1a("datareuse-advise-v1");
+  std::vector<std::uint64_t> signalHashes;
   for (int signal : readSignals(p))
-    h = support::fnv1aU64(h,
-                          explorer::exploreConfigHash(p, signal, opts.explore));
-  h = support::fnv1aByte(h, static_cast<std::uint8_t>(opts.solve.mode));
-  h = support::fnv1aU64(h, static_cast<std::uint64_t>(opts.solve.capacity));
-  h = support::fnv1aU64(h, static_cast<std::uint64_t>(opts.solve.ways));
+    signalHashes.push_back(explorer::exploreConfigHash(p, signal, opts.explore));
+  return adviseConfigHash(signalHashes, opts.solve);
+}
+
+std::uint64_t adviseConfigHash(std::span<const std::uint64_t> signalHashes,
+                               const SolveOptions& solve) {
+  std::uint64_t h = support::fnv1a("datareuse-advise-v1");
+  for (std::uint64_t signalHash : signalHashes)
+    h = support::fnv1aU64(h, signalHash);
+  h = support::fnv1aByte(h, static_cast<std::uint8_t>(solve.mode));
+  h = support::fnv1aU64(h, static_cast<std::uint64_t>(solve.capacity));
+  h = support::fnv1aU64(h, static_cast<std::uint64_t>(solve.ways));
   return h;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -89,5 +90,12 @@ support::Expected<AdvisorReport> adviseKernelChecked(
 /// advise result cache.
 std::uint64_t adviseConfigHash(const loopir::Program& p,
                                const AdvisorOptions& opts);
+
+/// The same address from its parts: the exploreConfigHash of each read
+/// signal in signal order, and the solve parameters. The overload above
+/// is this over readSignals(p), so a caller that already holds the
+/// per-signal hashes (the service's kernel memo) gets the same value.
+std::uint64_t adviseConfigHash(std::span<const std::uint64_t> signalHashes,
+                               const SolveOptions& solve);
 
 }  // namespace dr::partition

@@ -101,6 +101,16 @@ support::Expected<CachedCurve> ResultCache::getOrCompute(
     std::uint64_t hash, const loopir::Program& program, int signal,
     const explorer::ExploreOptions& opts, i64* simulatedPoints,
     ComputeInfo* info) {
+  return getOrCompute(
+      hash, [&]() -> const loopir::Program& { return program; }, signal, opts,
+      simulatedPoints, info);
+}
+
+support::Expected<CachedCurve> ResultCache::getOrCompute(
+    std::uint64_t hash,
+    const std::function<const loopir::Program&()>& compiled, int signal,
+    const explorer::ExploreOptions& opts, i64* simulatedPoints,
+    ComputeInfo* info) {
   if (simulatedPoints) *simulatedPoints = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -115,6 +125,7 @@ support::Expected<CachedCurve> ResultCache::getOrCompute(
   // Miss: compute through the journaled resume path when a warm layer
   // exists (a matching record replays with zero simulation, and a fresh
   // exact curve is written for the next process), plain otherwise.
+  const loopir::Program& program = compiled();
   explorer::ResumeSummary summary;
   bool journaled = !opts_.warmDir.empty();
   support::Expected<explorer::SignalExploration> ex = [&] {

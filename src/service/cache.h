@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <mutex>
 #include <optional>
@@ -124,9 +125,19 @@ class ResultCache {
   /// the explorer's tested resume path, and the warm file is (re)written
   /// as a side effect of computing. Exact results land in the memory
   /// layer; degraded ones are returned uncached.
+  /// `program` yields the compiled kernel for the warm and compute rungs
+  /// and is never called on a memory-layer hit, so a door that knows
+  /// `hash` without compiling (kernel_memo.h) compiles only on a miss.
   /// `simulatedPoints` (optional) reports how many curve points were
   /// actually recomputed — 0 for a hit on any layer. `info` (optional)
   /// reports the engine outcome when a computation ran.
+  support::Expected<CachedCurve> getOrCompute(
+      std::uint64_t hash,
+      const std::function<const loopir::Program&()>& program, int signal,
+      const explorer::ExploreOptions& opts, i64* simulatedPoints = nullptr,
+      ComputeInfo* info = nullptr);
+
+  /// getOrCompute over an already compiled kernel.
   support::Expected<CachedCurve> getOrCompute(
       std::uint64_t hash, const loopir::Program& program, int signal,
       const explorer::ExploreOptions& opts, i64* simulatedPoints = nullptr,

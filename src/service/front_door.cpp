@@ -61,17 +61,6 @@ AdmissionOptions clampedAdmissionOptions(AdmissionOptions o) {
 
 }  // namespace
 
-int resolveSignal(const loopir::Program& p, const std::string& name) {
-  if (!name.empty()) return p.findSignal(name);
-  for (std::size_t s = 0; s < p.signals.size(); ++s)
-    for (const auto& nest : p.nests)
-      for (const auto& acc : nest.body)
-        if (acc.signal == static_cast<int>(s) &&
-            acc.kind == loopir::AccessKind::Read)
-          return static_cast<int>(s);
-  return -1;
-}
-
 proto::Reply errorReply(const Status& status) {
   proto::Reply reply;
   reply.code = status.code();

@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "loopir/program.h"
 #include "service/admission.h"
 #include "service/metrics.h"
 #include "service/protocol.h"
@@ -34,11 +33,6 @@ namespace dr::service {
 /// Worker counts past this are a configuration mistake: a pool larger
 /// than any plausible core count only adds contention.
 constexpr int kMaxReasonableWorkers = 4096;
-
-/// The signal an explore request targets: a named lookup, or the first
-/// signal with a read access when the name is empty (explore_kernel's
-/// default sweep order); -1 when there is none.
-int resolveSignal(const loopir::Program& p, const std::string& name);
 
 /// The reply that carries `status` as an error.
 proto::Reply errorReply(const support::Status& status);

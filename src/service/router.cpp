@@ -6,8 +6,6 @@
 #include <type_traits>
 #include <utility>
 
-#include "explorer/explorer.h"
-#include "frontend/frontend.h"
 #include "support/contracts.h"
 #include "support/hash.h"
 #include "support/rng.h"
@@ -244,20 +242,21 @@ proto::Reply Router::route(const Request& req, i64 queueWaitMs) {
     return budgetMs > 0 ? budgetMs - msSince(t0) : 0;
   };
 
-  // Placement: compile here so the ring key is the exact config hash the
-  // shard caches use — and a malformed kernel is rejected at the front
-  // door without costing a shard anything.
-  auto compiled = frontend::compileKernelChecked(req.kernel);
-  if (!compiled.hasValue()) return errorReply(compiled.status());
+  // Placement: the ring key is the exact config hash the shard caches
+  // use, taken from the kernel's facts (compiled here on a memo miss, so
+  // a malformed kernel is rejected at the front door without costing a
+  // shard anything).
+  auto kernel = memo_.open(req.kernel);
+  if (!kernel.hasValue()) return errorReply(kernel.status());
   const std::string& name = placementSignal(req);
-  const int signal = resolveSignal(*compiled, name);
+  const int signal = kernel->facts().resolve(name);
   if (signal < 0)
     return errorReply(Status::error(
         StatusCode::InvalidInput,
         name.empty() ? std::string("kernel has no read signal")
                      : "no signal named '" + name + "'"));
   const std::uint64_t hash =
-      explorer::exploreConfigHash(*compiled, signal, {});
+      kernel->facts().signals[static_cast<std::size_t>(signal)].configHash;
 
   const std::vector<int> pref = ring_.preference(hash);
   std::vector<int> candidates;

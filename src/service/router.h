@@ -11,6 +11,7 @@
 #include "service/admission.h"
 #include "service/client.h"
 #include "service/front_door.h"
+#include "service/kernel_memo.h"
 #include "service/metrics.h"
 #include "service/protocol.h"
 #include "service/transport.h"
@@ -21,11 +22,11 @@
 /// Shard router for the exploration service: one front door over N
 /// independent backend daemons, turning a single fault domain into N.
 /// Placement is a consistent-hash ring keyed by the same
-/// explorer::exploreConfigHash both cache layers use — the router
-/// compiles the kernel itself, so every query for one configuration
-/// lands on the same shard (its memory and warm caches stay hot) and a
-/// malformed kernel is rejected at the front door without burning a
-/// shard slot.
+/// explorer::exploreConfigHash both cache layers use — the router takes
+/// it from its own kernel memo (kernel_memo.h), compiling the kernel on
+/// a memo miss, so every query for one configuration lands on the same
+/// shard (its memory and warm caches stay hot) and a malformed kernel is
+/// rejected at the front door without burning a shard slot.
 ///
 /// Failure handling, from fastest to slowest signal:
 ///
@@ -255,6 +256,7 @@ class Router {
 
   RouterOptions opts_;
   ShardRing ring_;
+  KernelMemo memo_;  ///< placement facts, so a repeat kernel skips compile
   std::vector<std::unique_ptr<Shard>> shards_;
   Metrics metrics_;  ///< front-door counts (requests, sheds, expiry)
   ActivityGate gate_;

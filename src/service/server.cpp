@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "explorer/explorer.h"
-#include "frontend/frontend.h"
 #include "partition/advisor.h"
 #include "report/report.h"
 #include "simcore/reuse_curve.h"
@@ -101,10 +100,17 @@ i64 Server::effectiveDeadlineMs(i64 budgetMs, i64 queueWaitMs) {
   return effectiveMs;
 }
 
-support::Expected<CachedCurve> Server::fetchCurve(
-    const loopir::Program& p, int signal,
-    const explorer::ExploreOptions& opts, bool noCache, bool* computed) {
-  const std::uint64_t hash = explorer::exploreConfigHash(p, signal, opts);
+support::Expected<CachedCurve> Server::fetchCurve(RequestKernel& kernel,
+                                                  int signal,
+                                                  support::RunBudget* budget,
+                                                  bool noCache,
+                                                  bool* computed) {
+  // The facts hold the default-options hash; the budget is excluded from
+  // the hash by design, so it is this request's config hash.
+  const std::uint64_t hash =
+      kernel.facts().signals[static_cast<std::size_t>(signal)].configHash;
+  explorer::ExploreOptions opts;
+  opts.budget = budget;
   i64 simulated = 0;  // stays 0 for a joiner: the leader computed
   bool leader = true;
   ComputeInfo info;
@@ -114,11 +120,13 @@ support::Expected<CachedCurve> Server::fetchCurve(
       return flight_.run(
           hash,
           [&] {
-            return cache_.getOrCompute(hash, p, signal, opts, &simulated,
-                                       &info);
+            return cache_.getOrCompute(
+                hash,
+                [&]() -> const loopir::Program& { return kernel.program(); },
+                signal, opts, &simulated, &info);
           },
           &leader);
-    auto ex = explorer::exploreSignalChecked(p, signal, opts);
+    auto ex = explorer::exploreSignalChecked(kernel.program(), signal, opts);
     if (!ex.hasValue()) return ex.status();
     simulated = static_cast<i64>(ex->simulatedCurve.points.size());
     return cachedCurveOf(hash, *ex, &info);
@@ -151,10 +159,10 @@ proto::Reply Server::handleExplore(const proto::ExploreRequest& req,
       door_.budgetAfterQueue(req.deadlineMs, req.remainingBudgetMs, queueWaitMs);
   if (!budgetMs.hasValue()) return fail(budgetMs.status());
 
-  auto compiled = frontend::compileKernelChecked(req.kernel);
-  if (!compiled.hasValue()) return fail(compiled.status());
-  const loopir::Program& p = *compiled;
-  const int signal = resolveSignal(p, req.signal);
+  const bool noCache = (req.flags & proto::kFlagNoCache) != 0;
+  auto kernel = memo_.open(req.kernel, !noCache);
+  if (!kernel.hasValue()) return fail(kernel.status());
+  const int signal = kernel->facts().resolve(req.signal);
   if (signal < 0)
     return fail(Status::error(
         StatusCode::InvalidInput,
@@ -162,18 +170,18 @@ proto::Reply Server::handleExplore(const proto::ExploreRequest& req,
             ? std::string("kernel has no read signal")
             : "no signal named '" + req.signal + "'"));
 
-  // Defaults must match explore_kernel's so the two doors agree on the
-  // config hash (byte-identity is pinned by tests/test_service.cpp).
-  explorer::ExploreOptions opts;
+  // Default explore options, matching explore_kernel's, so the two doors
+  // agree on the config hash (byte-identity is pinned by
+  // tests/test_service.cpp); only the deadline budget is per request.
   support::RunBudget budget;
+  support::RunBudget* budgetPtr = nullptr;
   if (const i64 ms = effectiveDeadlineMs(*budgetMs, queueWaitMs); ms > 0) {
     budget.setDeadline(std::chrono::milliseconds(ms));
-    opts.budget = &budget;  // excluded from the hash by design
+    budgetPtr = &budget;
   }
 
   bool computed = false;
-  auto result = fetchCurve(p, signal, opts,
-                           (req.flags & proto::kFlagNoCache) != 0, &computed);
+  auto result = fetchCurve(*kernel, signal, budgetPtr, noCache, &computed);
   if (!result.hasValue()) return fail(result.status());
   if (!simcore::isExact(static_cast<simcore::Fidelity>(result->fidelity)))
     metrics_.count(Counter::degradedReplies);
@@ -201,18 +209,18 @@ proto::Reply Server::handleAdvise(const proto::AdviseRequest& req,
       door_.budgetAfterQueue(req.deadlineMs, req.remainingBudgetMs, queueWaitMs);
   if (!budgetMs.hasValue()) return fail(budgetMs.status());
 
-  auto compiled = frontend::compileKernelChecked(req.kernel);
-  if (!compiled.hasValue()) return fail(compiled.status());
-  const loopir::Program& p = *compiled;
+  const bool noCache = (req.flags & proto::kFlagNoCache) != 0;
+  auto kernel = memo_.open(req.kernel, !noCache);
+  if (!kernel.hasValue()) return fail(kernel.status());
+  const KernelFacts& facts = kernel->facts();
 
-  partition::AdvisorOptions aopts;
-  aopts.solve.mode = static_cast<partition::Mode>(req.mode);
-  aopts.solve.capacity = req.capacity;
-  aopts.solve.ways = req.ways;
-  if (Status st = partition::validateSolveInputs({}, aopts.solve);
-      !st.isOk())
+  partition::SolveOptions solve;
+  solve.mode = static_cast<partition::Mode>(req.mode);
+  solve.capacity = req.capacity;
+  solve.ways = req.ways;
+  if (Status st = partition::validateSolveInputs({}, solve); !st.isOk())
     return fail(st);
-  const std::vector<int> signals = partition::readSignals(p);
+  const std::vector<int> signals = facts.readSignals();
   if (signals.empty())
     return fail(Status::error(StatusCode::InvalidInput,
                               "kernel has no read signal"));
@@ -223,13 +231,18 @@ proto::Reply Server::handleAdvise(const proto::AdviseRequest& req,
   // covers the *whole* co-exploration: every signal sweep draws from the
   // same RunBudget, so a slow kernel degrades rather than overruns.
   support::RunBudget budget;
+  support::RunBudget* budgetPtr = nullptr;
   if (const i64 ms = effectiveDeadlineMs(*budgetMs, queueWaitMs); ms > 0) {
     budget.setDeadline(std::chrono::milliseconds(ms));
-    aopts.explore.budget = &budget;  // excluded from the hash by design
+    budgetPtr = &budget;
   }
 
-  const std::uint64_t ahash = partition::adviseConfigHash(p, aopts);
-  const bool noCache = (req.flags & proto::kFlagNoCache) != 0;
+  std::vector<std::uint64_t> signalHashes;
+  signalHashes.reserve(signals.size());
+  for (int signal : signals)
+    signalHashes.push_back(
+        facts.signals[static_cast<std::size_t>(signal)].configHash);
+  const std::uint64_t ahash = partition::adviseConfigHash(signalHashes, solve);
   if (!noCache) {
     if (std::optional<AdviseEntry> hit = adviseCacheGet(ahash)) {
       metrics_.count(Counter::adviseCacheHits);
@@ -253,12 +266,13 @@ proto::Reply Server::handleAdvise(const proto::AdviseRequest& req,
   bool anyComputed = false;
   for (int signal : signals) {
     bool computed = false;
-    auto result = fetchCurve(p, signal, aopts.explore, noCache, &computed);
+    auto result = fetchCurve(*kernel, signal, budgetPtr, noCache, &computed);
     if (!result.hasValue()) {
       Status s = result.status();
-      return fail(Status::error(s.code(), "signal \"" +
-                                              p.signals[signal].name +
-                                              "\": " + s.message()));
+      return fail(Status::error(
+          s.code(), "signal \"" +
+                        facts.signals[static_cast<std::size_t>(signal)].name +
+                        "\": " + s.message()));
     }
     anyComputed = anyComputed || computed;
     auto curve = partition::objectCurveFromCsv(
@@ -274,7 +288,7 @@ proto::Reply Server::handleAdvise(const proto::AdviseRequest& req,
   }
 
   partition::AdvisorReport report =
-      partition::adviseFromCurves(p.name, std::move(objects), aopts.solve);
+      partition::adviseFromCurves(facts.kernelName, std::move(objects), solve);
   metrics_.adviseSolveLatency.record(report.solveMicros);
   if (report.result.usedFallback) metrics_.count(Counter::adviseFallbacks);
   const auto worst = static_cast<std::uint8_t>(report.worstFidelity);

@@ -10,10 +10,12 @@
 #include "service/admission.h"
 #include "service/cache.h"
 #include "service/front_door.h"
+#include "service/kernel_memo.h"
 #include "service/metrics.h"
 #include "service/protocol.h"
 #include "service/singleflight.h"
 #include "service/transport.h"
+#include "support/budget.h"
 #include "support/status.h"
 
 /// \file server.h
@@ -21,13 +23,16 @@
 /// Unix-domain or TCP listener (transport.h) dispatching framed requests
 /// (protocol.h) onto a small worker pool. Every explore request flows
 ///
-///   compile kernel -> resolve signal -> config hash
+///   kernel facts (kernel_memo.h: memoized, or compile and learn)
+///     -> resolve signal -> config hash
 ///     -> single-flight (one computation per concurrent identical burst)
 ///     -> result cache (memory LRU, then the warm journal layer)
 ///     -> explorer (under a per-request RunBudget deadline)
 ///
-/// so a burst of N identical cold queries costs one simulation and a warm
-/// query never simulates at all. A tripped deadline degrades the reply
+/// so a burst of N identical cold queries costs one simulation, a warm
+/// query never simulates at all, and a memory-layer hit on a memoized
+/// kernel does not compile it either: the Program is compiled only when
+/// the warm journal or the explorer needs it. A tripped deadline degrades the reply
 /// down the fidelity ladder (PR 3) instead of failing it; degraded
 /// results are served but never cached. Faults are connection-scoped: a
 /// malformed frame, a mid-query disconnect, or an injected
@@ -117,13 +122,17 @@ class Server {
   support::i64 effectiveDeadlineMs(support::i64 budgetMs,
                                    support::i64 queueWaitMs);
 
-  /// One signal's curve for either verb: computed outright under
-  /// kFlagNoCache, otherwise through single-flight and every cache
-  /// layer. Counts joins, simulations and the engine mix; `*computed`
-  /// reports whether any curve point was recomputed for this request.
-  support::Expected<CachedCurve> fetchCurve(
-      const loopir::Program& p, int signal,
-      const explorer::ExploreOptions& opts, bool noCache, bool* computed);
+  /// One signal's curve for either verb, under default ExploreOptions
+  /// with `budget` (null = unlimited), keyed by the facts' config hash:
+  /// computed outright under kFlagNoCache, otherwise through
+  /// single-flight and every cache layer, compiling `kernel` only below
+  /// the memory layer. Counts joins, simulations and the engine mix;
+  /// `*computed` reports whether any curve point was recomputed for this
+  /// request.
+  support::Expected<CachedCurve> fetchCurve(RequestKernel& kernel,
+                                            int signal,
+                                            support::RunBudget* budget,
+                                            bool noCache, bool* computed);
 
   /// One cached advisor answer — everything an AdviseResult body needs.
   /// Keyed by partition::adviseConfigHash; only reports whose curves all
@@ -142,6 +151,7 @@ class Server {
 
   ServerOptions opts_;
   Metrics metrics_;
+  KernelMemo memo_;
   ResultCache cache_;
   SingleFlight flight_;
 

@@ -13,8 +13,9 @@
 ///     certificates) — fast, incremental, good avalanche for content
 ///     addressing; NOT collision-resistant against adversaries, so it
 ///     keys caches and certificates, never security decisions;
-///   - CRC-32 (IEEE 802.3) — the corruption detector framing every
-///     journal record and every service protocol frame.
+///   - crc32 — the 32-bit checksum framing every journal record and
+///     every service protocol frame (see its comment: a CRC over the
+///     IEEE 802.3 polynomial, but not the IEEE check value).
 
 namespace dr::support {
 
@@ -43,8 +44,21 @@ constexpr std::uint64_t fnv1a(std::string_view bytes,
   return h;
 }
 
-/// CRC-32 (IEEE 802.3, polynomial 0xEDB88320) of `size` bytes. `seed`
-/// chains partial computations: crc32(b, crc32(a)) == crc32(a+b).
+/// 32-bit CRC over the reflected polynomial 0xEDB88320 of `size` bytes.
+/// `seed` chains partial computations: crc32(b, crc32(a)) == crc32(a+b).
+///
+/// Not the IEEE 802.3 check value: the defining loop takes each byte as
+/// two nibble steps whose table entries run eight shift rounds, not four,
+/// so crc32("123456789") is 0x111FB598 where IEEE gives 0xCBF43926. Every
+/// frame and journal record carries this value, so it is kept as is. Any
+/// single damaged byte still changes it, but its per-byte state update
+/// has rank 28, so it checks like a 28-bit code, not a 32-bit one.
+///
+/// Slicing-by-8: eight compile-time 256-entry tables fold 8 input bytes
+/// per step and a byte-table loop takes the tail. Input words are
+/// assembled byte by byte, so every host byte order gets the same value,
+/// with no intrinsics or per-CPU dispatch. tests/test_support.cpp pins
+/// it against the bitwise definition.
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0);
 

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -60,6 +61,33 @@ void refreshCrc(std::string& bytes) {
   for (int i = 0; i < 4; ++i)
     bytes[bytes.size() - 4 + static_cast<std::size_t>(i)] =
         static_cast<char>(crc >> (8 * i));
+}
+
+/// The bytes spelled by a hex string.
+std::string fromHex(std::string_view hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  return out;
+}
+
+TEST(Journal, EncodingIsPinnedByteForByte) {
+  // One fixed record as the nibble-table checksum loop framed it: a
+  // faster checksum must leave every journal on disk byte-identical, so
+  // warm caches written before it still replay.
+  const std::string expected = fromHex(
+      "9b00000044524a4c02000000efbefecacefaedfe0010000000000000f1050000"
+      "0000000001010100100000000000000002000000000000400000000000000008"
+      "0000000000000000000000000000000000000000000000010000000000000000"
+      "1000000000000000100000000000000200000000000000000800000000000000"
+      "100000000000000300000000000000550500000000000000100000000000007f"
+      "b752ff");
+  const std::string bytes = encodeJournal(sampleRecord(0xFEEDFACECAFEBEEFULL, 3));
+  EXPECT_EQ(bytes, expected);
+  auto parsed = parseJournal(expected);
+  ASSERT_TRUE(parsed.hasValue()) << parsed.status().str();
+  EXPECT_EQ(*parsed, sampleRecord(0xFEEDFACECAFEBEEFULL, 3));
 }
 
 TEST(Journal, RoundTripPreservesHeaderMetaAndPoints) {

@@ -20,22 +20,28 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "explorer/explorer.h"
 #include "frontend/frontend.h"
 #include "kernels/conv2d.h"
+#include "kernels/matmul.h"
 #include "kernels/motion_estimation.h"
+#include "kernels/susan.h"
+#include "kernels/wavelet.h"
 #include "partition/advisor.h"
 #include "report/report.h"
 #include "service/admission.h"
 #include "service/cache.h"
 #include "service/client.h"
+#include "service/kernel_memo.h"
 #include "service/metrics.h"
 #include "service/protocol.h"
 #include "service/router.h"
@@ -162,6 +168,15 @@ dr::support::Expected<proto::ExploreResult> queryExplore(
   return proto::decodeExploreResult(reply->body);
 }
 
+/// The bytes spelled by a hex string.
+std::string fromHex(std::string_view hex) {
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2)
+    out.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  return out;
+}
+
 CachedCurve makeEntry(std::uint64_t hash, std::size_t csvBytes) {
   CachedCurve e;
   e.configHash = hash;
@@ -279,6 +294,32 @@ TEST(Protocol, ReplyAndExploreResultRoundTrip) {
   std::string bad = proto::encodeReply(reply);
   bad[0] = 100;
   EXPECT_FALSE(proto::decodeReply(bad).hasValue());
+}
+
+TEST(Protocol, ReplyFrameIsPinnedByteForByte) {
+  // One fixed Explore reply as the nibble-table checksum loop framed it:
+  // a faster checksum must leave every byte on the wire as it was.
+  proto::ExploreResult result;
+  result.cached = true;
+  result.fidelity = 1;
+  result.Ctot = i64{1} << 20;
+  result.distinctElements = 4096;
+  result.csv =
+      "size,writes,reads,reuse_factor\n1,1048576,1048576,1.000000\n"
+      "64,4096,1048576,256.000000\n";
+  proto::Reply reply;
+  reply.body = proto::encodeExploreResult(result);
+  const std::string frame =
+      proto::encodeFrame(proto::Verb::Reply, proto::encodeReply(reply));
+  EXPECT_EQ(frame,
+            fromHex("4452535602047c000000000000000000000000000000006b00000001"
+                    "01000010000000000000100000000000005500000073697a652c7772"
+                    "697465732c72656164732c72657573655f666163746f720a312c3130"
+                    "34383537362c313034383537362c312e3030303030300a36342c3430"
+                    "39362c313034383537362c3235362e3030303030300a6bcaa1f1"));
+  const proto::FrameParse parse = proto::tryParseFrame(frame);
+  ASSERT_EQ(parse.result, proto::ParseResult::Ok) << parse.status.str();
+  EXPECT_EQ(parse.consumed, frame.size());
 }
 
 // ---- result cache -------------------------------------------------------
@@ -1587,10 +1628,11 @@ struct TcpShard {
   std::string endpoint;
 };
 
-TcpShard startTcpShard(int workers = 2) {
+TcpShard startTcpShard(int workers = 2, const std::string& warmDir = "") {
   ServerOptions opts;
   opts.endpoint = "127.0.0.1:0";
   opts.workers = workers;
+  opts.cache.warmDir = warmDir;
   TcpShard shard;
   shard.server = std::make_unique<Server>(opts);
   auto st = shard.server->start();
@@ -2369,6 +2411,519 @@ TEST(Server, InjectedIoFaultDropsOnlyThatConnection) {
     server.requestShutdown();
     server.wait();
   }
+}
+
+// ---- kernel memo (hit path) ---------------------------------------------
+
+/// One example kernel: its text and the names of its read signals.
+struct ExampleKernel {
+  std::string name;
+  std::string text;
+  std::vector<std::string> readSignals;
+};
+
+std::string readKernelFile(const std::string& name) {
+  std::ifstream f(std::string(DR_EXAMPLE_KERNELS_DIR) + "/" + name + ".krn");
+  std::ostringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
+}
+
+/// The five built-in kernels (default parameters) and the three example
+/// .krn files: 12 read signals.
+std::vector<ExampleKernel> exampleKernels() {
+  std::vector<ExampleKernel> out = {
+      {"conv2d", dr::kernels::conv2dSource({}), {}},
+      {"matmul", dr::kernels::matmulSource({}), {}},
+      {"me", dr::kernels::motionEstimationSource({}), {}},
+      {"susan", dr::kernels::susanSource({}), {}},
+      {"wavelet", dr::kernels::waveletLiftingSource({}), {}},
+      {"downsample", readKernelFile("downsample"), {}},
+      {"hfilter", readKernelFile("hfilter"), {}},
+      {"matvec", readKernelFile("matvec"), {}},
+  };
+  for (ExampleKernel& k : out) {
+    auto p = dr::frontend::compileKernelChecked(k.text);
+    EXPECT_TRUE(p.hasValue()) << k.name;
+    if (!p.hasValue()) continue;
+    for (int s : dr::partition::readSignals(*p))
+      k.readSignals.push_back(p->signals[static_cast<std::size_t>(s)].name);
+  }
+  return out;
+}
+
+/// One Explore exchange with any endpoint (Unix socket path or TCP).
+dr::support::Expected<proto::Reply> sendExplore(const std::string& endpoint,
+                                                const std::string& kernel,
+                                                const std::string& signal) {
+  proto::ExploreRequest req;
+  req.kernel = kernel;
+  req.signal = signal;
+  ClientOptions copts;
+  copts.endpoint = endpoint;
+  return Client(copts).explore(req);
+}
+
+proto::AdviseRequest adviseRequest(const std::string& kernel, i64 capacity) {
+  proto::AdviseRequest req;
+  req.kernel = kernel;
+  req.mode = static_cast<std::uint8_t>(dr::partition::Mode::WayPartition);
+  req.capacity = capacity;
+  req.ways = 8;
+  return req;
+}
+
+dr::support::Expected<proto::Reply> sendAdvise(const std::string& endpoint,
+                                               const proto::AdviseRequest& req) {
+  ClientOptions copts;
+  copts.endpoint = endpoint;
+  return Client(copts).advise(req);
+}
+
+/// The Advise reply body a cold adviseKernelChecked predicts, as served
+/// from resident curves (cached: nothing was recomputed).
+std::string coldAdviseBody(const dr::loopir::Program& p, i64 capacity,
+                           const std::string& warmDir) {
+  dr::partition::AdvisorOptions opts;
+  opts.solve.mode = dr::partition::Mode::WayPartition;
+  opts.solve.capacity = capacity;
+  opts.solve.ways = 8;
+  opts.journalPathFor = [&](std::uint64_t hash) {
+    return dr::service::warmJournalPath(warmDir, hash);
+  };
+  auto report = dr::partition::adviseKernelChecked(p, opts);
+  EXPECT_TRUE(report.hasValue()) << report.status().str();
+  if (!report.hasValue()) return {};
+  proto::AdviseResult body;
+  body.cached = true;
+  body.fidelity = static_cast<std::uint8_t>(report->worstFidelity);
+  body.usedFallback = report->result.usedFallback;
+  body.baselineMisses = report->result.baselineMisses;
+  body.partitionedMisses = report->result.partitionedMisses;
+  body.csv = dr::report::advisorCsv(*report);
+  return proto::encodeAdviseResult(body);
+}
+
+TEST(KernelMemo, RepliesEqualTheCompilePathOnEveryExampleKernel) {
+  // Every read signal is explored once, directly, with its journal left
+  // in a warm directory. A daemon over that directory then answers each
+  // first query on the compile path (memo miss: compile, warm replay) and
+  // each repeat from the memo and the memory layer; both must carry the
+  // direct exploration's bytes. Nothing is simulated past the direct run.
+  const std::string dir = tempDir("memo_identity");
+  const std::vector<ExampleKernel> kernels = exampleKernels();
+  ASSERT_EQ(kernels.size(), 8u);
+  std::map<std::pair<std::string, std::string>, std::string> expected;
+  std::map<std::pair<std::string, std::string>, std::uint64_t> hashes;
+  std::size_t signals = 0;
+  for (const ExampleKernel& k : kernels) {
+    auto p = dr::frontend::compileKernelChecked(k.text);
+    ASSERT_TRUE(p.hasValue());
+    for (const std::string& name : k.readSignals) {
+      const int s = p->findSignal(name);
+      const std::uint64_t hash = dr::explorer::exploreConfigHash(*p, s, {});
+      dr::explorer::ResumeContext ctx;
+      ctx.journalPath = dr::service::warmJournalPath(dir, hash);
+      auto ex = dr::explorer::exploreSignalChecked(*p, s, {}, ctx, nullptr);
+      ASSERT_TRUE(ex.hasValue()) << k.name << "/" << name;
+      proto::ExploreResult body;
+      body.cached = true;
+      body.fidelity = static_cast<std::uint8_t>(ex->curveFidelity);
+      body.Ctot = ex->Ctot;
+      body.distinctElements = ex->distinctElements;
+      body.csv = dr::report::curveCsv(ex->signalName, ex->simulatedCurve);
+      expected[{k.name, name}] = proto::encodeExploreResult(body);
+      hashes[{k.name, name}] = hash;
+      ++signals;
+    }
+  }
+  ASSERT_EQ(signals, 12u);
+
+  // Explore: compile path, then memo path, then the empty signal name
+  // (the first read signal) from the memo.
+  const std::string sock = socketPath();
+  ServerOptions opts;
+  opts.endpoint = sock;
+  opts.workers = 2;
+  opts.cache.warmDir = dir;
+  Server server(opts);
+  ASSERT_TRUE(server.start().isOk());
+  for (const ExampleKernel& k : kernels) {
+    for (const std::string& name : k.readSignals) {
+      for (int pass = 0; pass < 2; ++pass) {
+        auto reply = sendExplore(sock, k.text, name);
+        ASSERT_TRUE(reply.hasValue()) << reply.status().str();
+        ASSERT_EQ(reply->code, StatusCode::Ok) << reply->message;
+        EXPECT_EQ(reply->body, (expected[{k.name, name}]))
+            << k.name << "/" << name << " pass " << pass;
+      }
+    }
+    auto byDefault = sendExplore(sock, k.text, "");
+    ASSERT_TRUE(byDefault.hasValue());
+    EXPECT_EQ(byDefault->body, (expected[{k.name, k.readSignals.front()}]))
+        << k.name;
+  }
+
+  // Advise: the curves are resident, so a report miss at any capacity is
+  // solved without compiling; the repeat is a report hit. Both equal a
+  // cold adviseKernelChecked.
+  for (const ExampleKernel& k : kernels) {
+    auto p = dr::frontend::compileKernelChecked(k.text);
+    ASSERT_TRUE(p.hasValue());
+    for (i64 capacity : {i64{1024}, i64{96}}) {
+      const std::string want = coldAdviseBody(*p, capacity, dir);
+      for (int pass = 0; pass < 2; ++pass) {
+        auto reply = sendAdvise(sock, adviseRequest(k.text, capacity));
+        ASSERT_TRUE(reply.hasValue()) << reply.status().str();
+        ASSERT_EQ(reply->code, StatusCode::Ok) << reply->message;
+        EXPECT_EQ(reply->body, want)
+            << k.name << " capacity " << capacity << " pass " << pass;
+      }
+    }
+  }
+  auto s = server.metricsSnapshot();
+  EXPECT_EQ(s.simulations, 0);
+  EXPECT_EQ(s.warmHits, 12);
+  // Memory-layer hits: each signal's repeat, each kernel's default-signal
+  // query, and each curve of each first advise at a capacity.
+  EXPECT_EQ(s.cacheHits, 12 + 8 + 2 * 12);
+  EXPECT_EQ(s.adviseCacheHits, 2 * 8);
+  EXPECT_EQ(s.exploreErrors + s.adviseErrors, 0);
+  server.requestShutdown();
+  server.wait();
+
+  // Router: two shards over the same warm directory. Each query lands on
+  // the ring primary of its exact config hash, and the routed bytes are
+  // the direct ones, on the router's compile path and on its memo path.
+  TcpShard a = startTcpShard(2, dir);
+  TcpShard b = startTcpShard(2, dir);
+  dr::service::RouterOptions ropts;
+  ropts.listen = "127.0.0.1:0";
+  ropts.shards = {a.endpoint, b.endpoint};
+  ropts.healthIntervalMs = 0;
+  ropts.hedge = false;  // every forward goes to the primary
+  dr::service::Router router(ropts);
+  ASSERT_TRUE(router.start().isOk());
+  const std::string front = transport::toString(router.boundEndpoint());
+  std::vector<i64> forwards(2, 0);
+  for (const ExampleKernel& k : kernels) {
+    for (const std::string& name : k.readSignals) {
+      const auto primary = static_cast<std::size_t>(
+          router.ring().primary(hashes[{k.name, name}]));
+      ASSERT_LT(primary, 2u);
+      for (int pass = 0; pass < 2; ++pass) {
+        auto reply = sendExplore(front, k.text, name);
+        ASSERT_TRUE(reply.hasValue()) << reply.status().str();
+        ASSERT_EQ(reply->code, StatusCode::Ok) << reply->message;
+        EXPECT_EQ(reply->body, (expected[{k.name, name}]))
+            << "routed " << k.name << "/" << name << " pass " << pass;
+        ++forwards[primary];
+        EXPECT_EQ(router.stats().shardForwards, forwards)
+            << "routed " << k.name << "/" << name << " pass " << pass;
+      }
+    }
+    // An Advise is placed by the kernel's first read signal.
+    auto p = dr::frontend::compileKernelChecked(k.text);
+    ASSERT_TRUE(p.hasValue());
+    auto reply = sendAdvise(front, adviseRequest(k.text, 1024));
+    ASSERT_TRUE(reply.hasValue()) << reply.status().str();
+    ASSERT_EQ(reply->code, StatusCode::Ok) << reply->message;
+    EXPECT_EQ(reply->body, coldAdviseBody(*p, 1024, dir)) << k.name;
+    ++forwards[static_cast<std::size_t>(
+        router.ring().primary(hashes[{k.name, k.readSignals.front()}]))];
+    EXPECT_EQ(router.stats().shardForwards, forwards) << "advise " << k.name;
+  }
+  router.requestShutdown();
+  router.wait();
+  for (TcpShard* shard : {&a, &b}) {
+    EXPECT_EQ(shard->server->metricsSnapshot().simulations, 0);
+    shard->server->requestShutdown();
+    shard->server->wait();
+  }
+}
+
+TEST(KernelMemo, OneByteOfKernelTextIsADifferentKernel) {
+  // The memo compares the whole text: downsample with H = 33 sent after
+  // the H = 32 original is memoized gets its own curve and simulation.
+  const std::string original = readKernelFile("downsample");
+  std::string changed = original;
+  const std::size_t at = changed.find("param H = 32;");
+  ASSERT_NE(at, std::string::npos);
+  changed[at + std::string("param H = 3").size()] = '3';
+
+  const std::string sock = socketPath();
+  ServerOptions opts;
+  opts.endpoint = sock;
+  opts.workers = 2;
+  Server server(opts);
+  ASSERT_TRUE(server.start().isOk());
+  auto first = queryExplore(sock, original, "in");
+  ASSERT_TRUE(first.hasValue()) << first.status().str();
+  auto hit = queryExplore(sock, original, "in");
+  ASSERT_TRUE(hit.hasValue());
+  EXPECT_TRUE(hit->cached);
+  EXPECT_EQ(server.metricsSnapshot().simulations, 1);
+
+  auto other = queryExplore(sock, changed, "in");
+  ASSERT_TRUE(other.hasValue()) << other.status().str();
+  EXPECT_FALSE(other->cached);
+  EXPECT_EQ(server.metricsSnapshot().simulations, 2);
+  auto compiled = dr::frontend::compileKernelChecked(changed);
+  ASSERT_TRUE(compiled.hasValue());
+  auto direct = dr::explorer::exploreSignalChecked(
+      *compiled, compiled->findSignal("in"), {});
+  ASSERT_TRUE(direct.hasValue());
+  EXPECT_EQ(other->csv,
+            dr::report::curveCsv(direct->signalName, direct->simulatedCurve));
+  EXPECT_EQ(other->Ctot, direct->Ctot);
+  EXPECT_NE(other->csv, first->csv);
+
+  server.requestShutdown();
+  server.wait();
+}
+
+TEST(KernelMemo, ErrorTextsAreTheSameBeforeAndAfterTheKernelIsMemoized) {
+  const std::string sock = socketPath();
+  ServerOptions opts;
+  opts.endpoint = sock;
+  opts.workers = 2;
+  Server server(opts);
+  ASSERT_TRUE(server.start().isOk());
+
+  const std::string copy =
+      "kernel copy {\n"
+      "  param N = 16;\n"
+      "  array a[N] bits 8;\n"
+      "  array b[N] bits 8;\n"
+      "  loop i = 0 .. N - 1 {\n"
+      "    read a[i];\n"
+      "    write b[i];\n"
+      "  }\n"
+      "}\n";
+  struct Case {
+    std::string kernel;
+    std::string signal;
+    std::string message;
+  };
+  const Case cases[] = {
+      {copy, "nope", "invalid input: no signal named 'nope'"},
+      {copy, "b", "invalid input: signal 'b' is never read"},
+      {"kernel broken { loop i = 0 .. {", "",
+       "invalid input: kernel source has 2 syntax error(s)\n"
+       "  1:31: expected an expression, found '{'\n"
+       "  1:32: expected '}', found end of input"},
+  };
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const Case& c : cases) {
+      auto reply = sendExplore(sock, c.kernel, c.signal);
+      ASSERT_TRUE(reply.hasValue()) << reply.status().str();
+      EXPECT_EQ(reply->code, StatusCode::InvalidInput);
+      EXPECT_EQ(reply->message, c.message) << "pass " << pass;
+    }
+    // The copy kernel is memoized after the first pass in any case; this
+    // query makes sure, and is itself served.
+    ASSERT_TRUE(queryExplore(sock, copy, "a").hasValue());
+  }
+  EXPECT_EQ(server.metricsSnapshot().exploreErrors, 6);
+
+  server.requestShutdown();
+  server.wait();
+}
+
+TEST(KernelMemo, StatsCountersOfAScriptedSequenceArePinned) {
+  // One worker serves the concurrent burst in arrival order, so no query
+  // joins another's flight and every counter is a function of the script.
+  // Tightening from zero pressure with a far cap counts every request
+  // whose deadline is evaluated, hits included, and degrades none.
+  const std::string sock = socketPath();
+  ServerOptions opts;
+  opts.endpoint = sock;
+  opts.workers = 1;
+  opts.admission.tightenStart = 0.0;
+  opts.admission.pressureDeadlineMs = 600000;
+  opts.admission.minDeadlineMs = 590000;
+  Server server(opts);
+  ASSERT_TRUE(server.start().isOk());
+
+  const std::string kernel = dr::kernels::conv2dSource({20, 18, 1});
+  ASSERT_TRUE(queryExplore(sock, kernel, "img").hasValue());  // cold
+  ASSERT_TRUE(queryExplore(sock, kernel, "img").hasValue());  // hit
+  std::vector<std::thread> burst;
+  std::atomic<int> failures{0};
+  for (int c = 0; c < 8; ++c)
+    burst.emplace_back([&] {
+      if (!queryExplore(sock, kernel, "img").hasValue()) failures.fetch_add(1);
+    });
+  for (std::thread& t : burst) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  for (i64 capacity : {i64{128}, i64{128}, i64{64}}) {  // cold, hit, new
+    auto reply = sendAdvise(sock, adviseRequest(kernel, capacity));
+    ASSERT_TRUE(reply.hasValue());
+    ASSERT_EQ(reply->code, StatusCode::Ok) << reply->message;
+  }
+  ASSERT_TRUE(
+      queryExplore(sock, kernel, "img", proto::kFlagNoCache).hasValue());
+
+  auto stats = roundTrip(sock, proto::Verb::Stats, "");
+  ASSERT_TRUE(stats.hasValue());
+  // Latency histograms and the queue high-water mark measure timing,
+  // not the script; every other line is pinned.
+  std::string counters;
+  std::istringstream lines(stats->body);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("explore_latency_", 0) == 0 ||
+        line.rfind("advise_solve_", 0) == 0 ||
+        line.rfind("queue_depth_hwm ", 0) == 0)
+      continue;
+    counters += line + "\n";
+  }
+  // Literal taken from the daemon before the kernel memo: one cold
+  // explore, 8 + 1 explore hits, a cold advise (img from memory, w
+  // computed), a report hit, a new capacity over resident curves (two
+  // memory hits) and a NoCache explore; 11 explores and 3 advises had
+  // their deadline evaluated.
+  EXPECT_EQ(counters,
+            "connections_accepted 15\n"
+            "connections_dropped 0\n"
+            "requests 15\n"
+            "explore_requests 11\n"
+            "stats_requests 1\n"
+            "shutdown_requests 0\n"
+            "health_requests 0\n"
+            "protocol_errors 0\n"
+            "explore_errors 0\n"
+            "degraded_replies 0\n"
+            "shed_queue_full 0\n"
+            "shed_queue_wait 0\n"
+            "overload_replies 0\n"
+            "expired_requests 0\n"
+            "deadlines_tightened 14\n"
+            "cache_hits 12\n"
+            "cache_warm_hits 0\n"
+            "cache_misses 2\n"
+            "cache_evictions 0\n"
+            "cache_entries 2\n"
+            "cache_bytes 3595\n"
+            "cache_max_bytes 67108864\n"
+            "cache_journal_failures 0\n"
+            "inflight_joins 0\n"
+            "simulations 3\n"
+            "curves_symbolic 1\n"
+            "curves_exact_stream 2\n"
+            "curves_exact_fold 0\n"
+            "curves_approx_fold 0\n"
+            "curves_analytic 0\n"
+            "runs_decoded 1728\n"
+            "run_fast_events 5184\n"
+            "run_fallback_events 0\n"
+            "advise_requests 3\n"
+            "advise_errors 0\n"
+            "advise_cache_hits 1\n"
+            "advise_fallbacks 0\n");
+
+  server.requestShutdown();
+  server.wait();
+}
+
+TEST(KernelMemo, FactsAreTheCompiledProgramsOwn) {
+  for (const ExampleKernel& k : exampleKernels()) {
+    auto p = dr::frontend::compileKernelChecked(k.text);
+    ASSERT_TRUE(p.hasValue());
+    const dr::service::KernelFacts facts = dr::service::factsOf(*p);
+    EXPECT_EQ(facts.kernelName, p->name);
+    ASSERT_EQ(facts.signals.size(), p->signals.size());
+    const std::vector<int> read = dr::partition::readSignals(*p);
+    EXPECT_EQ(facts.readSignals(), read) << k.name;
+    for (std::size_t s = 0; s < p->signals.size(); ++s) {
+      const int signal = static_cast<int>(s);
+      EXPECT_EQ(facts.signals[s].name, p->signals[s].name);
+      EXPECT_EQ(facts.signals[s].configHash,
+                dr::explorer::exploreConfigHash(*p, signal, {}));
+      EXPECT_EQ(facts.resolve(p->signals[s].name), p->findSignal(p->signals[s].name));
+    }
+    EXPECT_EQ(facts.resolve(""), read.front());
+    EXPECT_EQ(facts.resolve("no_such_signal"), -1);
+
+    // The advise address from the facts' hashes is the Program's.
+    dr::partition::AdvisorOptions aopts;
+    aopts.solve.capacity = 512;
+    std::vector<std::uint64_t> signalHashes;
+    for (int s : read)
+      signalHashes.push_back(facts.signals[static_cast<std::size_t>(s)].configHash);
+    EXPECT_EQ(dr::partition::adviseConfigHash(signalHashes, aopts.solve),
+              dr::partition::adviseConfigHash(*p, aopts));
+  }
+}
+
+TEST(KernelMemo, LearnsOnlySuccessfulCompilesAndOnlyWhenAsked) {
+  dr::service::KernelMemo memo;
+  const std::string broken = "kernel broken {";
+  auto bad = memo.open(broken);
+  ASSERT_FALSE(bad.hasValue());
+  EXPECT_EQ(bad.status().code(), StatusCode::InvalidInput);
+  EXPECT_EQ(memo.entries(), 0u);
+
+  const std::string text = readKernelFile("matvec");
+  auto bypass = memo.open(text, /*useMemo=*/false);  // kFlagNoCache
+  ASSERT_TRUE(bypass.hasValue());
+  EXPECT_EQ(memo.entries(), 0u);
+  EXPECT_EQ(memo.find(text), nullptr);
+
+  auto first = memo.open(text);
+  ASSERT_TRUE(first.hasValue());
+  EXPECT_EQ(memo.entries(), 1u);
+  auto second = memo.open(text);
+  ASSERT_TRUE(second.hasValue());
+  EXPECT_EQ(memo.entries(), 1u);
+  EXPECT_EQ(&second->facts(), memo.find(text).get());  // served, not recompiled
+  // The lazily compiled Program is the one the text compiles to.
+  const dr::loopir::Program& p = second->program();
+  EXPECT_EQ(p.name, "matvec");
+  EXPECT_EQ(dr::explorer::exploreConfigHash(p, p.findSignal("x"), {}),
+            second->facts().signals[static_cast<std::size_t>(p.findSignal("x"))]
+                .configHash);
+}
+
+TEST(KernelMemo, StaysWithinItsByteBudgetAndEvictsLeastRecentlyUsedFirst) {
+  constexpr i64 kBudget = dr::service::KernelMemo::kMaxBytes;
+  dr::service::KernelMemo memo;
+  auto facts = std::make_shared<const dr::service::KernelFacts>(
+      dr::service::KernelFacts{"k", {{"a", true, 1}, {"b", false, 2}}});
+  const auto textOf = [](int i) {
+    return "kernel k" + std::to_string(i) + " {" + std::string(4000, ' ') + "}";
+  };
+
+  // Ten budgets' worth of distinct kernels: each is learned, even with the
+  // memo full, and the memo never holds more than its budget.
+  i64 learned = 0;
+  int count = 0;
+  while (learned < 10 * kBudget) {
+    const std::string text = textOf(count++);
+    memo.learn(text, facts);
+    learned += static_cast<i64>(text.size());
+    ASSERT_LE(memo.bytes(), kBudget);
+    ASSERT_NE(memo.find(text), nullptr) << "kernel " << count - 1;
+  }
+  const std::size_t capacity = memo.entries();
+  EXPECT_GT(capacity, 8u);
+  EXPECT_EQ(memo.find(textOf(0)), nullptr);  // long evicted
+
+  // Least recently used first: refresh the oldest resident kernel, then
+  // learn one more. The next-oldest goes; the refreshed one stays.
+  const int oldest = count - static_cast<int>(capacity);
+  ASSERT_NE(memo.find(textOf(oldest)), nullptr);  // refreshes it
+  memo.learn(textOf(count), facts);
+  EXPECT_NE(memo.find(textOf(oldest)), nullptr);
+  EXPECT_EQ(memo.find(textOf(oldest + 1)), nullptr);
+  EXPECT_EQ(memo.entries(), capacity);
+
+  // A kernel larger than the whole budget is not stored, and evicts
+  // nothing.
+  const std::string huge(static_cast<std::size_t>(kBudget), 'k');
+  memo.learn(huge, facts);
+  EXPECT_EQ(memo.find(huge), nullptr);
+  EXPECT_EQ(memo.entries(), capacity);
+  EXPECT_LE(memo.bytes(), kBudget);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Unit tests for the support module: integer math, rationals, matrices,
-// strings, datasets, CLI parsing, RNG determinism.
+// strings, datasets, CLI parsing, RNG determinism, the frame checksum.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +19,7 @@
 #include "support/cli.h"
 #include "support/contracts.h"
 #include "support/dataset.h"
+#include "support/hash.h"
 #include "support/intmath.h"
 #include "support/matrix.h"
 #include "support/parallel.h"
@@ -540,6 +541,68 @@ TEST(Rng, MixSeedIsDeterministicAndSensitiveToEveryInput) {
       seen.push_back(mixSeed(7, task, attempt));
   std::sort(seen.begin(), seen.end());
   EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
+}
+
+
+/// support::crc32's definition, one bit at a time: each byte is two
+/// nibble steps, low nibble first, each folding the running value's low
+/// nibble through eight shift-xor rounds of 0xEDB88320 (the loop the
+/// slicing-by-8 tables replaced, with its table computed in place).
+std::uint32_t crc32Bitwise(const unsigned char* p, std::size_t n,
+                           std::uint32_t seed) {
+  const auto step = [](std::uint32_t s) {
+    std::uint32_t c = s & 0x0F;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    return c ^ (s >> 4);
+  };
+  std::uint32_t c = ~seed;
+  for (std::size_t i = 0; i < n; ++i) {
+    c = step(c ^ (p[i] & 0x0Fu));
+    c = step(c ^ (p[i] >> 4));
+  }
+  return ~c;
+}
+
+TEST(Crc32, KnownAnswers) {
+  EXPECT_EQ(crc32("", 0), 0u);
+  // Not the IEEE 802.3 check value 0xCBF43926: the defining loop's nibble
+  // steps run eight shift rounds (hash.h). Frames and journals carry it.
+  EXPECT_EQ(crc32("123456789", 9), 0x111FB598u);
+  EXPECT_EQ(crc32Bitwise(reinterpret_cast<const unsigned char*>("123456789"),
+                         9, 0),
+            0x111FB598u);
+}
+
+TEST(Crc32, EqualsTheBitwiseDefinitionAtEveryLengthAndAlignment) {
+  Rng rng(0x5EED);
+  std::vector<unsigned char> buf(600 + 8);
+  for (unsigned char& b : buf) b = static_cast<unsigned char>(rng.next());
+  // Lengths 0..600 cover every tail length after every count of 8-byte
+  // steps; offsets 0..8 start the steps at every alignment.
+  for (std::size_t offset = 0; offset <= 8; ++offset)
+    for (std::size_t len = 0; len <= 600; ++len) {
+      const auto seed = static_cast<std::uint32_t>(rng.next());
+      ASSERT_EQ(crc32(buf.data() + offset, len, seed),
+                crc32Bitwise(buf.data() + offset, len, seed))
+          << "offset " << offset << " length " << len;
+    }
+  std::vector<unsigned char> big(std::size_t{64} << 10);
+  for (unsigned char& b : big) b = static_cast<unsigned char>(rng.next());
+  EXPECT_EQ(crc32(big.data(), big.size()),
+            crc32Bitwise(big.data(), big.size(), 0));
+}
+
+TEST(Crc32, ChainsAcrossSplits) {
+  const std::string a = "length-prefixed, versioned, checksummed ";
+  const std::string b = "framing for the exploration service";
+  const std::string ab = a + b;
+  EXPECT_EQ(crc32(b.data(), b.size(), crc32(a.data(), a.size())),
+            crc32(ab.data(), ab.size()));
+  for (std::size_t split = 0; split <= ab.size(); ++split)
+    ASSERT_EQ(crc32(ab.data() + split, ab.size() - split,
+                    crc32(ab.data(), split)),
+              crc32(ab.data(), ab.size()))
+        << "split " << split;
 }
 
 }  // namespace

@@ -1,16 +1,17 @@
 // Client for the exploration daemon (datareuse_serve): sends framed
 // requests over its Unix domain socket and prints / saves the replies.
 // The transport is the resilient client library (service/client.h):
-// socket timeouts, retry-with-backoff on transport failures and
-// load-shed (Unavailable) replies, deadline propagation, and a circuit
-// breaker — so a daemon restart mid-burst costs retries, not failures.
+// socket timeouts, retry-with-jittered-backoff on transport failures and
+// load-shed (Unavailable) replies, and deadline propagation — so a
+// daemon restart mid-burst costs retries, not failures.
 //
 //   $ ./examples/datareuse_query --socket /tmp/datareuse.sock
 //                                --kernel path/to/kernel.krn
 //                                [--signal NAME] [--deadline-ms N]
 //                                [--count N] [--no-cache] [--out PATH]
 //                                [--bench-out PATH] [--attempts N]
-//                                [--breaker-threshold N] [--seed N]
+//                                [--retry-base-ms D] [--send-timeout-ms D]
+//                                [--recv-timeout-ms D] [--seed N]
 //   $ ./examples/datareuse_query --socket ... --stats
 //   $ ./examples/datareuse_query --socket ... --shutdown
 //   $ ./examples/datareuse_query --kernel k.krn --dump-request PATH
@@ -98,9 +99,6 @@ int runQuery(int argc, char** argv) {
   copts.backoffBaseMs = cli.getInt("retry-base-ms", 20);
   copts.sendTimeoutMs = cli.getInt("send-timeout-ms", 2000);
   copts.recvTimeoutMs = cli.getInt("recv-timeout-ms", 5000);
-  copts.breakerThreshold =
-      static_cast<int>(cli.getInt("breaker-threshold", 5));
-  copts.breakerCooldownMs = cli.getInt("breaker-cooldown-ms", 1000);
   copts.seed = static_cast<std::uint64_t>(cli.getInt("seed", 0x5eed));
   for (const auto& name : cli.unusedNames())
     std::fprintf(stderr, "warning: unknown option --%s\n", name.c_str());
@@ -182,7 +180,7 @@ int runQuery(int argc, char** argv) {
 
   // --count N: N concurrent identical queries, each on its own
   // connection, all fired together — the single-flight burst. One shared
-  // Client: N threads watching one daemon should share one breaker.
+  // Client: its ledger counts the retries of all N.
   Client client(copts);
   struct Slot {
     Expected<proto::Reply> reply = Status::error(StatusCode::Internal, "unset");
@@ -247,12 +245,9 @@ int runQuery(int argc, char** argv) {
               static_cast<long long>(ok > 0 ? totalUs / ok : 0),
               static_cast<long long>(maxUs));
   const ClientStats cs = client.stats();
-  if (cs.retries > 0 || cs.breakerTrips > 0)
-    std::printf("resilience: %lld retries, %lld breaker trips, "
-                "%lld fast fails\n",
-                static_cast<long long>(cs.retries),
-                static_cast<long long>(cs.breakerTrips),
-                static_cast<long long>(cs.breakerFastFails));
+  if (cs.retries > 0)
+    std::printf("resilience: %lld retries\n",
+                static_cast<long long>(cs.retries));
 
   if (!outPath.empty()) {
     auto st = dr::support::DataSet::writeFileStatus(outPath, first.csv);

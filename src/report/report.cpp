@@ -362,7 +362,7 @@ std::string metricsReport(const service::MetricsSnapshot& s) {
   row("simulations", s.simulations);
   const i64 overloadEvents = s.shedQueueFull + s.shedQueueWait +
                              s.overloadReplies + s.expiredRequests +
-                             s.deadlinesTightened + s.queueDepthHighWater;
+                             s.queueDepthHighWater;
   if (overloadEvents > 0) {
     out += "\n## Overload ladder\n\n";
     out += "| counter | value |\n|---|---|\n";
@@ -371,7 +371,6 @@ std::string metricsReport(const service::MetricsSnapshot& s) {
     row("shed: accept deadline", s.shedQueueWait);
     row("overload (Unavailable) replies", s.overloadReplies);
     row("expired in queue (rejected)", s.expiredRequests);
-    row("deadlines tightened", s.deadlinesTightened);
   }
   const i64 engineRuns = s.curvesSymbolic + s.curvesExactStream +
                          s.curvesExactFold + s.curvesApproxFold +

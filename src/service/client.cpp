@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <utility>
@@ -32,83 +33,28 @@ Status ioError(const char* op) {
                        std::string(op) + ": " + std::strerror(errno));
 }
 
-}  // namespace
-
-Status validateClientOptions(const ClientOptions& opts) {
+/// The parsed endpoint of `opts`, or why the options are invalid.
+Expected<transport::Endpoint> checkedEndpoint(const ClientOptions& opts) {
   const auto invalid = [](const std::string& what) {
     return Status::error(StatusCode::InvalidInput, "client: " + what);
   };
   if (opts.endpoint.empty()) return invalid("endpoint is empty");
-  if (auto ep = transport::parseEndpoint(opts.endpoint); !ep.hasValue())
-    return ep.status();
+  auto ep = transport::parseEndpoint(opts.endpoint);
+  if (!ep.hasValue()) return ep.status();
   if (opts.maxAttempts < 1) return invalid("maxAttempts must be >= 1");
   if (opts.backoffBaseMs < 0 || opts.backoffCapMs < opts.backoffBaseMs)
     return invalid("backoff band is inverted");
-  if (opts.breakerThreshold > 0 && opts.breakerCooldownMs <= 0)
-    return invalid("breakerCooldownMs must be positive when the breaker is on");
-  return Status::ok();
+  return ep;
 }
 
-// ---- CircuitBreaker -----------------------------------------------------
+}  // namespace
 
-i64 CircuitBreaker::admit() {
-  if (threshold_ <= 0) return 0;
-  std::lock_guard<std::mutex> lock(mutex_);
-  switch (state_) {
-    case State::Closed:
-      return 0;
-    case State::Open: {
-      const i64 leftMs = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             openUntil_ - Clock::now())
-                             .count();
-      if (leftMs > 0) return leftMs;
-      state_ = State::HalfOpen;
-      probeInFlight_ = true;
-      return 0;  // this attempt is the probe
-    }
-    case State::HalfOpen:
-      if (probeInFlight_) return std::max<i64>(1, cooldownMs_ / 4);
-      probeInFlight_ = true;
-      return 0;
-  }
-  return 0;
+Status validateClientOptions(const ClientOptions& opts) {
+  return checkedEndpoint(opts).status();
 }
-
-bool CircuitBreaker::onFailure() {
-  if (threshold_ <= 0) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  probeInFlight_ = false;
-  ++consecutiveFailures_;
-  const bool shouldTrip =
-      state_ == State::HalfOpen ||  // failed probe: straight back open
-      (state_ == State::Closed && consecutiveFailures_ >= threshold_);
-  if (shouldTrip) {
-    state_ = State::Open;
-    openUntil_ = Clock::now() + std::chrono::milliseconds(cooldownMs_);
-  }
-  return shouldTrip;
-}
-
-bool CircuitBreaker::onSuccess() {
-  if (threshold_ <= 0) return false;
-  std::lock_guard<std::mutex> lock(mutex_);
-  consecutiveFailures_ = 0;
-  probeInFlight_ = false;
-  if (state_ == State::Closed) return false;
-  state_ = State::Closed;
-  return true;
-}
-
-CircuitBreaker::State CircuitBreaker::state() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return state_;
-}
-
-// ---- Client -------------------------------------------------------------
 
 Client::Client(ClientOptions opts)
-    : opts_(std::move(opts)),
-      breaker_(opts_.breakerThreshold, opts_.breakerCooldownMs) {}
+    : opts_(std::move(opts)), endpoint_(checkedEndpoint(opts_)) {}
 
 i64 Client::retryDelayMs(const ClientOptions& opts, std::uint64_t callIdx,
                          int attempt, i64 retryAfterMs) {
@@ -130,37 +76,17 @@ i64 Client::retryDelayMs(const ClientOptions& opts, std::uint64_t callIdx,
 
 Expected<proto::Reply> Client::attemptOnce(proto::Verb verb,
                                            const std::string& payload) {
-  auto endpoint = transport::parseEndpoint(opts_.endpoint);
-  if (!endpoint.hasValue()) return endpoint.status();
-  auto connected = transport::connectTo(*endpoint, opts_.connectTimeoutMs);
+  auto connected = transport::connectTo(*endpoint_, opts_.connectTimeoutMs);
   if (!connected.hasValue()) return connected.status();
   const int fd = *connected;
   transport::setSendTimeoutMs(fd, opts_.sendTimeoutMs);
   transport::setRecvTimeoutMs(fd, opts_.recvTimeoutMs);
 
-  const std::string frame = proto::encodeFrame(verb, payload);
-  std::size_t sent = 0;
-  bool sendFailed = false;
-  while (sent < frame.size()) {
-    // MSG_NOSIGNAL: a daemon restarting mid-send must surface as EPIPE,
-    // not kill the process (the in-process chaos tests depend on this).
-    ssize_t n = ::send(fd, frame.data() + sent, frame.size() - sent,
-#ifdef MSG_NOSIGNAL
-                       MSG_NOSIGNAL
-#else
-                       0
-#endif
-    );
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      // The peer may have shed us before reading the request — a reply
-      // can already be buffered. Fall through and try to read it; only
-      // a failed read makes this a transport error.
-      sendFailed = true;
-      break;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
+  // The peer may have shed us before reading the request — a reply can
+  // already be buffered. So a failed send still tries to read it; only a
+  // failed read makes this a transport error.
+  const bool sendFailed =
+      !transport::sendAll(fd, proto::encodeFrame(verb, payload));
 
   std::string buffer;
   char chunk[4096];
@@ -198,21 +124,10 @@ Expected<proto::Reply> Client::attemptOnce(proto::Verb verb,
   }
 }
 
-void Client::onTransportFailure() {
-  counters_.count(ClientCounter::transportFailures);
-  if (breaker_.onFailure())
-    counters_.count(ClientCounter::breakerTrips);
-}
-
-void Client::onTransportSuccess() {
-  if (breaker_.onSuccess())
-    counters_.count(ClientCounter::breakerResets);
-}
-
 Expected<proto::Reply> Client::run(
     proto::Verb verb, i64 deadlineMs,
     const std::function<std::string(i64 remainingMs)>& encode) {
-  if (Status st = validateClientOptions(opts_); !st.isOk()) return st;
+  if (!endpoint_.hasValue()) return endpoint_.status();
   const std::uint64_t callIdx = static_cast<std::uint64_t>(
       counters_.count(ClientCounter::calls));
   const auto t0 = Clock::now();
@@ -242,24 +157,9 @@ Expected<proto::Reply> Client::run(
     if (attempt > 0) counters_.count(ClientCounter::retries);
     if (deadlineMs > 0 && remaining() <= 0) return budgetGone(lastFailure);
 
-    // Breaker gate: while open, fast-fail and wait out the cooldown
-    // inside the attempt budget instead of burning attempts on a socket
-    // we know is dead.
-    i64 gateMs = breaker_.admit();
-    while (gateMs > 0) {
-      counters_.count(ClientCounter::breakerFastFails);
-      lastFailure = Status::error(StatusCode::Unavailable,
-                                  "circuit breaker open (retry in " +
-                                      std::to_string(gateMs) + "ms)");
-      if (deadlineMs > 0 && remaining() <= gateMs)
-        return budgetGone(lastFailure);
-      if (!sleepFor(gateMs)) return budgetGone(lastFailure);
-      gateMs = breaker_.admit();
-    }
-
     auto reply = attemptOnce(verb, encode(std::max<i64>(0, remaining())));
     if (!reply.hasValue()) {
-      onTransportFailure();
+      counters_.count(ClientCounter::transportFailures);
       honoredHintLastSleep = false;
       lastFailure = reply.status();
       if (attempt + 1 >= opts_.maxAttempts) break;
@@ -267,9 +167,6 @@ Expected<proto::Reply> Client::run(
         return budgetGone(lastFailure);
       continue;
     }
-    // Any decoded reply means the daemon is alive: breaker-wise this is
-    // a success even if the answer is "go away" (Unavailable).
-    onTransportSuccess();
     if (reply->code == StatusCode::Unavailable) {
       honoredHintLastSleep = false;
       lastFailure = Status::error(StatusCode::Unavailable, reply->message);

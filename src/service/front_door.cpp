@@ -6,7 +6,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -28,35 +27,15 @@ using support::fault::FaultSite;
 /// parked on a silent client.
 constexpr int kRecvTimeoutMs = 200;
 
-/// send() the whole buffer, riding out EINTR; false drops the
-/// connection. The fault probe models a peer that vanished mid-reply.
+/// Send a whole reply; false drops the connection. The fault probe
+/// models a peer that vanished mid-reply.
 bool writeAll(int fd, const std::string& bytes) {
   if (support::fault::shouldFail(FaultSite::ServiceIo)) return false;
-  std::size_t done = 0;
-  while (done < bytes.size()) {
-    ssize_t n = ::send(fd, bytes.data() + done, bytes.size() - done,
-#ifdef MSG_NOSIGNAL
-                       MSG_NOSIGNAL
-#else
-                       0
-#endif
-    );
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  return true;
+  return transport::sendAll(fd, bytes);
 }
 
 std::string replyFrame(const proto::Reply& reply) {
   return proto::encodeFrame(proto::Verb::Reply, proto::encodeReply(reply));
-}
-
-AdmissionOptions clampedAdmissionOptions(AdmissionOptions o) {
-  o.maxQueueDepth = std::max(1, o.maxQueueDepth);
-  return o;
 }
 
 }  // namespace
@@ -71,10 +50,10 @@ proto::Reply errorReply(const Status& status) {
 FrontDoor::FrontDoor(int workers, const AdmissionOptions& admission,
                      Metrics& metrics, Owner owner)
     : workers_(workers),
-      admissionOptions_(admission),
+      acceptDeadlineMs_(admission.acceptDeadlineMs),
       metrics_(metrics),
       owner_(std::move(owner)),
-      admission_(clampedAdmissionOptions(admission)) {}
+      admission_(admission.maxQueueDepth) {}
 
 FrontDoor::~FrontDoor() {
   requestShutdown();
@@ -184,9 +163,8 @@ void FrontDoor::shedConnection(int fd, const char* why) {
   proto::Reply reply;
   reply.code = StatusCode::Unavailable;
   reply.message = std::string(owner_.overloaded) + ": " + why;
-  reply.retryAfterMs =
-      retryAfterHintMs(admissionOptions_, admission_.depth(), workers_,
-                       metrics_.exploreLatency.meanUs());
+  reply.retryAfterMs = retryAfterHintMs(admission_.depth(), workers_,
+                                        metrics_.exploreLatency.meanUs());
   // Bound the shed write too: a reply to an overloading client must not
   // park the accept loop behind a full socket buffer.
   transport::setSendTimeoutMs(fd, kRecvTimeoutMs);
@@ -202,8 +180,8 @@ void FrontDoor::workerLoop() {
         std::chrono::duration_cast<std::chrono::milliseconds>(
             std::chrono::steady_clock::now() - conn->admittedAt)
             .count();
-    if (!draining() && admissionOptions_.acceptDeadlineMs > 0 &&
-        queueWaitMs > admissionOptions_.acceptDeadlineMs) {
+    if (!draining() && acceptDeadlineMs_ > 0 &&
+        queueWaitMs > acceptDeadlineMs_) {
       metrics_.count(Counter::shedQueueWait);
       shedConnection(conn->fd, "accept deadline exceeded");
       continue;

@@ -53,9 +53,9 @@ class FrontDoor {
     std::function<void()> shutdown;      ///< the Shutdown verb
   };
 
-  /// `metrics` must outlive the door. The queue gets a clamped copy of
-  /// `admission`, so a misconfigured owner is still constructible and
-  /// its start() can reject the options cleanly.
+  /// `metrics` must outlive the door. The queue clamps its depth to at
+  /// least 1, so a misconfigured owner is still constructible and its
+  /// start() can reject the options cleanly.
   FrontDoor(int workers, const AdmissionOptions& admission, Metrics& metrics,
             Owner owner);
   ~FrontDoor();  ///< requestShutdown() + wait()
@@ -86,9 +86,6 @@ class FrontDoor {
   /// after a successful start().
   const transport::Endpoint& bound() const { return bound_; }
 
-  /// Admission-queue pressure in [0, 1], the tightening ladder's input.
-  double pressure() const { return admission_.pressure(); }
-
   /// Charge `queueWaitMs` against a request's own budget
   /// (`remainingBudgetMs` when stamped, else `deadlineMs`): the budget
   /// left, 0 when the request carries no deadline. A client-owned budget
@@ -114,7 +111,7 @@ class FrontDoor {
                           i64 queueWaitMs);
 
   const int workers_;
-  const AdmissionOptions admissionOptions_;
+  const i64 acceptDeadlineMs_;  ///< AdmissionOptions::acceptDeadlineMs
   Metrics& metrics_;
   const Owner owner_;
   AdmissionQueue admission_;

@@ -59,13 +59,12 @@ enum class Fold { Sum, Max };
   X(protocolErrors, "protocol_errors", Sum) /* corrupt frames */         \
   X(exploreErrors, "explore_errors", Sum)                                \
   X(degradedReplies, "degraded_replies", Sum) /* below the exact rungs */ \
-  /* Overload ladder (admission.h); every shed is a structured reply. */ \
+  /* Overload sheds (admission.h); every shed is a structured reply. */  \
   X(queueDepthHighWater, "queue_depth_hwm", Max)                         \
   X(shedQueueFull, "shed_queue_full", Sum)                               \
   X(shedQueueWait, "shed_queue_wait", Sum) /* accept deadline hit */     \
   X(overloadReplies, "overload_replies", Sum) /* all sheds */            \
   X(expiredRequests, "expired_requests", Sum) /* budget gone in queue */ \
-  X(deadlinesTightened, "deadlines_tightened", Sum)                      \
   DR_CACHE_LEDGER(CACHE)                                                 \
   X(inflightJoins, "inflight_joins", Sum) /* shared a leader's result */ \
   X(simulations, "simulations", Sum) /* leaders that ran curve points */ \

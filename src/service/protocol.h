@@ -158,8 +158,8 @@ support::Expected<ExploreResult> decodeExploreResult(std::string_view body);
 /// scratchpad), `capacity` the shared capacity in elements, `ways` the
 /// way count W (ignored in scratchpad mode). Deadline/budget/flags
 /// semantics match ExploreRequest — the per-signal explorations degrade
-/// down the fidelity ladder under pressure, and kFlagNoCache bypasses
-/// both the per-signal curve cache and the advise report cache.
+/// down the fidelity ladder when the deadline trips, and kFlagNoCache
+/// bypasses both the per-signal curve cache and the advise report cache.
 struct AdviseRequest {
   std::string kernel;  ///< kernel-language source text
   i64 deadlineMs = 0;

@@ -29,18 +29,6 @@ i64 msSince(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// The forward client of one shard. It carries no breaker: the router's
-/// up/down marks are its one failure detector, and a client breaker would
-/// make a forward to a revived shard sleep out the cooldown instead of
-/// being served.
-ClientOptions forwardClientOptions(const RouterOptions& opts,
-                                   const std::string& spec) {
-  ClientOptions co = opts.client;
-  co.endpoint = spec;
-  co.breakerThreshold = 0;
-  return co;
-}
-
 /// The signal a request is placed by: an Explore's own; for an Advise the
 /// kernel's first read signal, whose Explore traffic already warmed the
 /// curves the advisor re-reads.
@@ -132,14 +120,11 @@ Status validateRouterOptions(const RouterOptions& opts) {
     return invalid("workers out of range: " + std::to_string(opts.workers));
   if (opts.virtualNodes <= 0)
     return invalid("virtualNodes must be positive");
-  if (opts.healthFailureThreshold <= 0)
-    return invalid("healthFailureThreshold must be positive");
-  if (opts.hedgeMinDelayMs < 0 || opts.hedgeMaxDelayMs < opts.hedgeMinDelayMs)
-    return invalid("hedge delay band is inverted");
-  if (Status st = validateClientOptions(
-          forwardClientOptions(opts, opts.shards.front()));
-      !st.isOk())
-    return st;
+  // The client template at a real endpoint: its maxAttempts and backoff
+  // drive Router::forward's retries.
+  ClientOptions co = opts.client;
+  co.endpoint = opts.shards.front();
+  if (Status st = validateClientOptions(co); !st.isOk()) return st;
   return validateAdmissionOptions(opts.admission);
 }
 
@@ -191,12 +176,13 @@ Status Router::start() {
   shards_.reserve(opts_.shards.size());
   for (const std::string& spec : opts_.shards) {
     auto shard = std::make_unique<Shard>();
-    const ClientOptions co = forwardClientOptions(opts_, spec);
+    ClientOptions co = opts_.client;
+    co.endpoint = spec;
+    co.maxAttempts = 1;  // one exchange per call: forward() retries
     shard->client = std::make_unique<Client>(co);
     // Probes run single-attempt on the probe timeout so a dead shard
     // costs one bounded connect per interval.
     ClientOptions po = co;
-    po.maxAttempts = 1;
     po.connectTimeoutMs = opts_.healthTimeoutMs;
     po.sendTimeoutMs = opts_.healthTimeoutMs;
     po.recvTimeoutMs = opts_.healthTimeoutMs;
@@ -322,28 +308,45 @@ template <class Request>
 Expected<proto::Reply> Router::forward(const Request& req, int shardIdx,
                                        i64 budgetMs) {
   Shard& shard = *shards_[static_cast<std::size_t>(shardIdx)];
-  Request fwd = req;
-  // The forwarded deadline is what is left of the caller's budget at
-  // this hop; the shard's client re-stamps remainingBudgetMs per attempt
-  // from it.
-  fwd.deadlineMs = budgetMs > 0 ? budgetMs : req.deadlineMs;
-  fwd.remainingBudgetMs = 0;
+  const std::uint64_t callIdx =
+      shard.calls.fetch_add(1, std::memory_order_relaxed);
   const auto t0 = std::chrono::steady_clock::now();
-  auto reply = send(*shard.client, fwd);
-  if (reply.hasValue()) {
-    shard.forwards.fetch_add(1, std::memory_order_relaxed);
-    markShardUp(shardIdx);
-    // The hedge delay is derived from Explore forwards only.
-    if (std::is_same_v<Request, proto::ExploreRequest> &&
-        reply->code == StatusCode::Ok)
-      forwardLatency_.record(
-          std::chrono::duration_cast<std::chrono::microseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-  } else if (reply.status().code() == StatusCode::IoError) {
-    markShardStrike(shardIdx);
+  const auto leftMs = [&] { return budgetMs - msSince(t0); };
+  Request fwd = req;
+  fwd.remainingBudgetMs = 0;
+  Status lastFailure = Status::error(StatusCode::Internal, "no attempt ran");
+  for (int attempt = 0;; ++attempt) {
+    if (budgetMs > 0 && leftMs() <= 0)
+      return Status::error(StatusCode::BudgetExceeded,
+                           "deadline exhausted after " +
+                               std::to_string(msSince(t0)) +
+                               "ms; last failure: " + lastFailure.str());
+    // The forwarded deadline is what is left of the caller's budget at
+    // this attempt; the shard's client stamps remainingBudgetMs from it.
+    fwd.deadlineMs = budgetMs > 0 ? leftMs() : req.deadlineMs;
+    auto reply = send(*shard.client, fwd);
+    if (reply.hasValue()) {
+      shard.forwards.fetch_add(1, std::memory_order_relaxed);
+      markShardUp(shardIdx);
+      // The hedge delay is derived from Explore forwards only.
+      if (std::is_same_v<Request, proto::ExploreRequest> &&
+          reply->code == StatusCode::Ok)
+        forwardLatency_.record(
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+      return reply;
+    }
+    if (reply.status().code() != StatusCode::IoError) return reply;
+    lastFailure = reply.status();
+    if (attempt + 1 >= opts_.client.maxAttempts) break;
+    i64 delayMs = Client::retryDelayMs(opts_.client, callIdx, attempt, 0);
+    if (budgetMs > 0) delayMs = std::min(delayMs, leftMs());
+    if (delayMs > 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(delayMs));
   }
-  return reply;
+  markShardStrike(shardIdx);
+  return lastFailure;
 }
 
 Expected<proto::Reply> Router::forwardWithHedge(
@@ -440,7 +443,7 @@ void Router::markShardStrike(int idx) {
   std::lock_guard<std::mutex> lock(shard.mutex);
   ++shard.consecutiveFailures;
   if (shard.up &&
-      shard.consecutiveFailures >= opts_.healthFailureThreshold) {
+      shard.consecutiveFailures >= kHealthFailureThreshold) {
     shard.up = false;
     counters_.count(RouterCounter::healthFlaps);
   }
@@ -460,9 +463,9 @@ i64 Router::currentHedgeDelayMs() const {
   // samples exist the ceiling applies — hedge conservatively, not off a
   // two-request histogram.
   constexpr i64 kMinSamples = 20;
-  if (forwardLatency_.count() < kMinSamples) return opts_.hedgeMaxDelayMs;
+  if (forwardLatency_.count() < kMinSamples) return kHedgeMaxDelayMs;
   const i64 p99Ms = forwardLatency_.percentileUs(0.99) / 1000 + 1;
-  return std::clamp(p99Ms, opts_.hedgeMinDelayMs, opts_.hedgeMaxDelayMs);
+  return std::clamp(p99Ms, kHedgeMinDelayMs, kHedgeMaxDelayMs);
 }
 
 // ---- stats --------------------------------------------------------------

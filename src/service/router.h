@@ -31,22 +31,24 @@
 /// Failure handling, from fastest to slowest signal:
 ///
 ///   - **Passive accounting.** Every forwarded reply marks its shard up;
-///     every transport failure (after the forward client's own retries)
-///     marks a strike. `healthFailureThreshold` consecutive strikes take
-///     the shard Down. These marks and the probes below are the router's
-///     one failure detector: its forward clients carry no circuit
-///     breaker, so a shard a probe marks up is served at once.
+///     every failed forward (a dead transport after the forward's
+///     in-place retries) marks one strike. kHealthFailureThreshold
+///     consecutive strikes take the shard Down. These marks and the
+///     probes below are the router's one failure detector, so a shard a
+///     probe marks up is served at once.
 ///   - **Active probes.** A background thread sends the Health verb to
 ///     every shard each `healthIntervalMs` on a short timeout, so a dead
 ///     shard is discovered within one probe interval even with zero
 ///     traffic, and a recovered one comes back without waiting for a
 ///     request to gamble on it.
 ///   - **Failover.** Explore and Advise take one routing walk: the ring
-///     preference order, skipping Down shards; a transport failure or an
-///     Unavailable (shedding) reply moves to the next replica. When every
-///     candidate is down or shedding, the router answers a structured
-///     Unavailable with a retry-after hint — the same contract a single
-///     overloaded daemon honors.
+///     preference order, skipping Down shards; a dead transport or an
+///     Unavailable (shedding) reply moves to the next replica. A shed is
+///     never retried on the shedding shard: the forward hands any decoded
+///     reply straight back to the walk. When every candidate is down or
+///     shedding, the router answers a structured Unavailable with a
+///     retry-after hint — the same contract a single overloaded daemon
+///     honors.
 ///   - **Hedging.** Optionally, an Explore to a slow shard launches one
 ///     hedge to the next replica after a p99-derived delay (or the fixed
 ///     `hedgeDelayMs`); the first reply wins, the loser's thread drains
@@ -92,6 +94,13 @@ class ShardRing {
   int shards_ = 0;
 };
 
+/// Consecutive strikes (failed forwards or probes) that take a shard Down.
+constexpr int kHealthFailureThreshold = 2;
+/// Bounds of the p99-derived hedge delay; the ceiling also applies before
+/// the p99 has enough samples.
+constexpr i64 kHedgeMinDelayMs = 10;
+constexpr i64 kHedgeMaxDelayMs = 250;
+
 struct RouterOptions {
   /// Front-door endpoint spec (transport.h); TCP port 0 = ephemeral.
   std::string listen;
@@ -101,22 +110,21 @@ struct RouterOptions {
   int virtualNodes = 64;  ///< ring points per shard
 
   // Health probing.
-  i64 healthIntervalMs = 250;   ///< probe cadence; <= 0 disables probes
-  i64 healthTimeoutMs = 500;    ///< per-probe connect/recv bound
-  int healthFailureThreshold = 2;  ///< consecutive strikes -> Down
+  i64 healthIntervalMs = 250;  ///< probe cadence; <= 0 disables probes
+  i64 healthTimeoutMs = 500;   ///< per-probe connect/recv bound
 
   // Hedged requests.
   bool hedge = true;
-  i64 hedgeDelayMs = 0;       ///< fixed hedge delay; 0 = derive from p99
-  i64 hedgeMinDelayMs = 10;   ///< floor of the derived delay
-  i64 hedgeMaxDelayMs = 250;  ///< ceiling (also used before p99 exists)
+  i64 hedgeDelayMs = 0;  ///< fixed hedge delay; 0 = derive from p99
 
-  /// Template for the per-shard forwarding clients. The endpoint is
-  /// overridden per shard, and the breaker fields are not used: the
-  /// router's up/down marks decide where a request goes. Defaults to 2
-  /// attempts: transient blips retry in place, real failures fail over
-  /// to the next replica instead of hammering a dead socket through five
-  /// backoffs.
+  /// Template for the per-shard forward clients. The endpoint is
+  /// overridden per shard, and each forward client makes one exchange
+  /// per call: `maxAttempts`, the backoff band and the seed set the
+  /// router's own in-place retries of a dead transport (Router::forward),
+  /// while a decoded reply, a shed included, goes straight back to the
+  /// routing walk. Defaults to 2 attempts: transient blips retry in
+  /// place, real failures fail over to the next replica instead of
+  /// hammering a dead socket through five backoffs.
   ClientOptions client = defaultForwardClientOptions();
 
   AdmissionOptions admission;
@@ -195,20 +203,22 @@ class Router {
 
   /// The live hedge delay: options().hedgeDelayMs when fixed, otherwise
   /// the p99 of forwarded explore latencies clamped to
-  /// [hedgeMinDelayMs, hedgeMaxDelayMs] (the ceiling until enough
+  /// [kHedgeMinDelayMs, kHedgeMaxDelayMs] (the ceiling until enough
   /// samples exist). Exposed for tests.
   i64 currentHedgeDelayMs() const;
 
  private:
   /// Health + forwarding state for one shard.
   struct Shard {
-    std::unique_ptr<Client> client;  ///< forwarding client, no breaker
+    std::unique_ptr<Client> client;  ///< one exchange per call
     ClientOptions probeOptions;      ///< single-attempt, short-timeout probe
 
     std::mutex mutex;
     bool up = true;
     int consecutiveFailures = 0;
     std::atomic<i64> forwards{0};
+    /// Forward calls so far, the call index of the retry jitter.
+    std::atomic<std::uint64_t> calls{0};
   };
 
   /// Counts in-flight detached forward threads (hedge losers included)
@@ -233,8 +243,11 @@ class Router {
   proto::Reply route(const Request& req, i64 queueWaitMs);
 
   /// Forward one request to one shard with what is left of the budget
-  /// (`budgetMs` <= 0 = unlimited), marking the shard up on any reply and
-  /// striking it on a transport failure.
+  /// (`budgetMs` <= 0 = unlimited). A dead transport is retried in place,
+  /// up to the client template's maxAttempts on its backoff schedule,
+  /// sleeps charged to the budget; any decoded reply, a shed included,
+  /// returns at once. Marks the shard up on a reply and strikes it once
+  /// when every attempt's transport failed.
   template <class Request>
   support::Expected<proto::Reply> forward(const Request& req, int shardIdx,
                                           i64 budgetMs);

@@ -84,20 +84,12 @@ void Server::requestShutdown() { door_.requestShutdown(); }
 
 void Server::wait() { door_.wait(); }
 
-i64 Server::effectiveDeadlineMs(i64 budgetMs, i64 queueWaitMs) {
+i64 Server::effectiveDeadlineMs(i64 budgetMs, i64 queueWaitMs) const {
   // A server-imposed default only degrades, never rejects: it shrinks by
   // the queue wait but keeps at least 1 ms.
   if (budgetMs <= 0 && opts_.defaultDeadlineMs > 0)
-    budgetMs = std::max<i64>(1, opts_.defaultDeadlineMs - queueWaitMs);
-  // Stage-1 overload ladder: queue pressure shrinks the effective
-  // deadline so replies fall down the fidelity ladder instead of piling
-  // latency onto everyone behind them. Degraded results are never cached,
-  // so a tightened reply can't poison a later idle-time query.
-  const i64 effectiveMs =
-      tightenedDeadlineMs(budgetMs, door_.pressure(), opts_.admission);
-  if (effectiveMs > 0 && (budgetMs <= 0 || effectiveMs < budgetMs))
-    metrics_.count(Counter::deadlinesTightened);
-  return effectiveMs;
+    return std::max<i64>(1, opts_.defaultDeadlineMs - queueWaitMs);
+  return budgetMs;
 }
 
 support::Expected<CachedCurve> Server::fetchCurve(RequestKernel& kernel,

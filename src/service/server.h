@@ -40,12 +40,12 @@
 /// workers swallow per-request exceptions into error replies.
 ///
 /// Overload never grows memory or hangs clients (admission.h): accepted
-/// connections enter a bounded queue; as it fills, per-request deadlines
-/// tighten (degraded-but-fast replies), and at capacity — or past the
+/// connections enter a bounded queue, and at capacity — or past the
 /// per-connection accept deadline — the daemon sheds with a structured
-/// Unavailable reply carrying a retry-after hint. Queue wait is charged
-/// against the request's own budget (proto v2 remaining-budget field);
-/// a request that expired while queued is rejected outright.
+/// Unavailable reply carrying a retry-after hint. Shedding is the one
+/// overload control. Queue wait is charged against the request's own
+/// budget (proto v2 remaining-budget field); a request that expired
+/// while queued is rejected outright.
 ///
 /// Shutdown (the verb or requestShutdown()) drains gracefully: the
 /// listener stops accepting, in-flight and already-queued connections
@@ -116,11 +116,10 @@ class Server {
                             support::i64 queueWaitMs);
 
   /// The RunBudget deadline of a request with `budgetMs` left (<= 0 =
-  /// the client set none): the server default less the queue wait when
-  /// the client set none, then tightened under queue pressure
-  /// (admission.h). 0 = unlimited.
+  /// the client set none): the client's budget, else the server default
+  /// less the queue wait. 0 = unlimited.
   support::i64 effectiveDeadlineMs(support::i64 budgetMs,
-                                   support::i64 queueWaitMs);
+                                   support::i64 queueWaitMs) const;
 
   /// One signal's curve for either verb, under default ExploreOptions
   /// with `budget` (null = unlimited), keyed by the facts' config hash:

@@ -254,4 +254,23 @@ void setTimeout(int fd, int which, i64 ms) {
 void setRecvTimeoutMs(int fd, i64 ms) { setTimeout(fd, SO_RCVTIMEO, ms); }
 void setSendTimeoutMs(int fd, i64 ms) { setTimeout(fd, SO_SNDTIMEO, ms); }
 
+bool sendAll(int fd, std::string_view bytes) {
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    ssize_t n = ::send(fd, bytes.data() + done, bytes.size() - done,
+#ifdef MSG_NOSIGNAL
+                       MSG_NOSIGNAL
+#else
+                       0
+#endif
+    );
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  return true;
+}
+
 }  // namespace dr::service::transport

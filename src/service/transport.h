@@ -1,6 +1,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "support/intmath.h"
 #include "support/status.h"
@@ -76,5 +77,10 @@ support::Expected<int> connectTo(const Endpoint& ep, i64 connectTimeoutMs);
 /// the kernel default (unlimited).
 void setRecvTimeoutMs(int fd, i64 ms);
 void setSendTimeoutMs(int fd, i64 ms);
+
+/// send() all of `bytes`, riding out EINTR; false on any other failure
+/// (errno says which). MSG_NOSIGNAL: a peer that vanished mid-send
+/// surfaces as EPIPE instead of killing the process.
+bool sendAll(int fd, std::string_view bytes);
 
 }  // namespace dr::service::transport

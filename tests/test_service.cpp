@@ -602,7 +602,6 @@ dr::service::MetricsSnapshot fullySetSnapshot() {
   s.shedQueueWait = 13;
   s.overloadReplies = 14;
   s.expiredRequests = 15;
-  s.deadlinesTightened = 16;
   s.cacheHits = 23;
   s.warmHits = 24;
   s.cacheMisses = 25;
@@ -658,7 +657,6 @@ TEST(Metrics, RenderEmitsOneLinePerCounter) {
       "shed_queue_wait 13\n"
       "overload_replies 14\n"
       "expired_requests 15\n"
-      "deadlines_tightened 16\n"
       "cache_hits 23\n"
       "cache_warm_hits 24\n"
       "cache_misses 25\n"
@@ -721,7 +719,6 @@ TEST(Metrics, ReportRendersAFullySetSnapshotByteForByte) {
       "| shed: accept deadline | 13 |\n"
       "| overload (Unavailable) replies | 14 |\n"
       "| expired in queue (rejected) | 15 |\n"
-      "| deadlines tightened | 16 |\n"
       "\n"
       "## Engine mix (leader computations)\n"
       "\n"
@@ -1066,65 +1063,17 @@ TEST(Admission, ValidateOptionsRejectsAbsurdLimits) {
   bad.maxQueueDepth = 1 << 20;  // a million parked connections is a typo
   EXPECT_EQ(dr::service::validateAdmissionOptions(bad).code(),
             StatusCode::InvalidInput);
-  bad = ok;
-  bad.tightenStart = 1.5;
-  EXPECT_EQ(dr::service::validateAdmissionOptions(bad).code(),
-            StatusCode::InvalidInput);
-  bad = ok;
-  bad.minDeadlineMs = 0;
-  EXPECT_EQ(dr::service::validateAdmissionOptions(bad).code(),
-            StatusCode::InvalidInput);
-  bad = ok;
-  bad.pressureDeadlineMs = bad.minDeadlineMs - 1;
-  EXPECT_EQ(dr::service::validateAdmissionOptions(bad).code(),
-            StatusCode::InvalidInput);
-  bad = ok;
-  bad.retryAfterCapMs = bad.retryAfterFloorMs - 1;
-  EXPECT_EQ(dr::service::validateAdmissionOptions(bad).code(),
-            StatusCode::InvalidInput);
-}
-
-TEST(Admission, TighteningRampIsMonotoneAndBounded) {
-  AdmissionOptions opts;
-  opts.tightenStart = 0.5;
-  opts.pressureDeadlineMs = 200;
-  opts.minDeadlineMs = 10;
-
-  // Below the start: the base budget passes through untouched (including
-  // "unlimited", which must stay unlimited while the queue is calm).
-  EXPECT_EQ(dr::service::tightenedDeadlineMs(5000, 0.0, opts), 5000);
-  EXPECT_EQ(dr::service::tightenedDeadlineMs(0, 0.49, opts), 0);
-
-  // At the start: capped at pressureDeadlineMs; a tighter client
-  // deadline is never grown.
-  EXPECT_EQ(dr::service::tightenedDeadlineMs(5000, 0.5, opts), 200);
-  EXPECT_EQ(dr::service::tightenedDeadlineMs(50, 0.5, opts), 50);
-
-  // Monotone down to the floor at a full queue, never below it.
-  i64 prev = dr::service::tightenedDeadlineMs(5000, 0.5, opts);
-  for (double p = 0.55; p <= 1.0; p += 0.05) {
-    const i64 cur = dr::service::tightenedDeadlineMs(5000, p, opts);
-    EXPECT_LE(cur, prev) << "pressure " << p;
-    EXPECT_GE(cur, opts.minDeadlineMs);
-    prev = cur;
-  }
-  EXPECT_EQ(dr::service::tightenedDeadlineMs(5000, 1.0, opts),
-            opts.minDeadlineMs);
-  // An unlimited request under pressure gets the cap, not infinity.
-  EXPECT_EQ(dr::service::tightenedDeadlineMs(0, 1.0, opts),
-            opts.minDeadlineMs);
 }
 
 TEST(Admission, RetryAfterHintStaysInsideTheBand) {
-  AdmissionOptions opts;
-  opts.retryAfterFloorMs = 25;
-  opts.retryAfterCapMs = 2000;
+  EXPECT_EQ(dr::service::kRetryAfterFloorMs, 25);
+  EXPECT_EQ(dr::service::kRetryAfterCapMs, 2000);
   // No latency observed yet: the floor.
-  EXPECT_EQ(dr::service::retryAfterHintMs(opts, 10, 4, 0), 25);
+  EXPECT_EQ(dr::service::retryAfterHintMs(10, 4, 0), 25);
   // Deep queue, slow service: clamped to the cap.
-  EXPECT_EQ(dr::service::retryAfterHintMs(opts, 1000, 1, 1'000'000), 2000);
+  EXPECT_EQ(dr::service::retryAfterHintMs(1000, 1, 1'000'000), 2000);
   // In between: scales with the drain estimate and respects the floor.
-  const i64 hint = dr::service::retryAfterHintMs(opts, 100, 4, 20'000);
+  const i64 hint = dr::service::retryAfterHintMs(100, 4, 20'000);
   EXPECT_GE(hint, 25);
   EXPECT_LE(hint, 2000);
 }
@@ -1234,7 +1183,7 @@ TEST(Server, FullQueueShedsWithStructuredRetryAfterReply) {
     ::close(fd);
     ASSERT_TRUE(reply.hasValue()) << reply.status().str();
     EXPECT_EQ(reply->code, StatusCode::Unavailable);
-    EXPECT_GE(reply->retryAfterMs, opts.admission.retryAfterFloorMs);
+    EXPECT_GE(reply->retryAfterMs, dr::service::kRetryAfterFloorMs);
     EXPECT_NE(reply->message.find("queue full"), std::string::npos);
     ++sheds;
   }
@@ -1309,7 +1258,7 @@ TEST(Server, AcceptDeadlineShedsStaleQueuedConnections) {
   ASSERT_TRUE(reply.hasValue()) << reply.status().str();
   EXPECT_EQ(reply->code, StatusCode::Unavailable);
   EXPECT_NE(reply->message.find("accept deadline"), std::string::npos);
-  EXPECT_GE(reply->retryAfterMs, opts.admission.retryAfterFloorMs);
+  EXPECT_GE(reply->retryAfterMs, dr::service::kRetryAfterFloorMs);
   EXPECT_EQ(server.metricsSnapshot().shedQueueWait, 1);
 
   server.requestShutdown();
@@ -1358,66 +1307,30 @@ TEST(Client, ValidateOptionsRejectsBrokenConfigs) {
             StatusCode::InvalidInput);
 }
 
-TEST(Client, BreakerTripsAfterConsecutiveTransportFailures) {
-  ClientOptions opts;
-  opts.endpoint = "/tmp/" + uniqueName("drsvc_nowhere") + ".sock";
-  opts.maxAttempts = 1;
-  opts.breakerThreshold = 2;
-  opts.breakerCooldownMs = 60'000;  // stays open for the whole test
-  Client client(opts);
-
-  proto::ExploreRequest req;
-  req.kernel = "k";
-  EXPECT_FALSE(client.explore(req).hasValue());
-  EXPECT_EQ(client.breakerState(), Client::BreakerState::Closed);
-  EXPECT_FALSE(client.explore(req).hasValue());
-  EXPECT_EQ(client.breakerState(), Client::BreakerState::Open);
-  EXPECT_EQ(client.stats().breakerTrips, 1);
-
-  // While open, a deadline-bearing call fast-fails without touching the
-  // socket: the budget can't cover the cooldown.
-  req.deadlineMs = 50;
-  const i64 failuresBefore = client.stats().transportFailures;
-  auto fast = client.explore(req);
-  ASSERT_FALSE(fast.hasValue());
-  EXPECT_EQ(fast.status().code(), StatusCode::BudgetExceeded);
-  EXPECT_GE(client.stats().breakerFastFails, 1);
-  EXPECT_EQ(client.stats().transportFailures, failuresBefore);
-}
-
-TEST(Client, BreakerHalfOpenProbeRecoversAgainstALiveServer) {
-  const std::string sock = socketPath();
-  ClientOptions opts;
-  opts.endpoint = sock;
-  opts.maxAttempts = 1;
-  opts.breakerThreshold = 2;
-  opts.breakerCooldownMs = 100;
-  Client client(opts);
-
-  proto::ExploreRequest req;
-  req.kernel = dr::kernels::motionEstimationSource({32, 32, 4, 4});
-  req.signal = "Old";
-  EXPECT_FALSE(client.explore(req).hasValue());  // nothing listening yet
-  EXPECT_FALSE(client.explore(req).hasValue());
-  ASSERT_EQ(client.breakerState(), Client::BreakerState::Open);
-
-  ServerOptions sopts;
-  sopts.endpoint = sock;
-  sopts.workers = 2;
-  Server server(sopts);
-  ASSERT_TRUE(server.start().isOk());
-  std::this_thread::sleep_for(std::chrono::milliseconds(150));
-
-  // The cooldown has elapsed: the next call is the half-open probe, it
-  // succeeds, and the breaker closes.
-  auto reply = client.explore(req);
-  ASSERT_TRUE(reply.hasValue()) << reply.status().str();
-  EXPECT_EQ(reply->code, StatusCode::Ok);
-  EXPECT_EQ(client.breakerState(), Client::BreakerState::Closed);
-  EXPECT_EQ(client.stats().breakerResets, 1);
-
-  server.requestShutdown();
-  server.wait();
+TEST(Client, InvalidOptionsFailEveryCallWithTheSameStatus) {
+  ClientOptions noAttempts;
+  noAttempts.endpoint = "/tmp/x.sock";
+  noAttempts.maxAttempts = 0;
+  ClientOptions badPort;
+  badPort.endpoint = "127.0.0.1:99999";
+  for (const ClientOptions& opts : {noAttempts, badPort}) {
+    const Status expected = dr::service::validateClientOptions(opts);
+    ASSERT_EQ(expected.code(), StatusCode::InvalidInput);
+    Client client(opts);
+    proto::ExploreRequest req;
+    req.kernel = "k";
+    for (int i = 0; i < 3; ++i) {
+      auto explored = client.explore(req);
+      ASSERT_FALSE(explored.hasValue());
+      EXPECT_EQ(explored.status().str(), expected.str());
+      auto called = client.call(proto::Verb::Health, "");
+      ASSERT_FALSE(called.hasValue());
+      EXPECT_EQ(called.status().str(), expected.str());
+    }
+    // Refused before the call is counted or a socket is touched.
+    EXPECT_EQ(client.stats().calls, 0);
+    EXPECT_EQ(client.stats().transportFailures, 0);
+  }
 }
 
 TEST(Client, RetriesThroughShedsUntilAdmitted) {
@@ -1426,7 +1339,6 @@ TEST(Client, RetriesThroughShedsUntilAdmitted) {
   opts.endpoint = sock;
   opts.workers = 1;
   opts.admission.maxQueueDepth = 1;
-  opts.admission.retryAfterFloorMs = 10;
   Server server(opts);
   ASSERT_TRUE(server.start().isOk());
 
@@ -1494,7 +1406,6 @@ TEST(Client, BurstSurvivesServerRestartOnTheSameCacheDir) {
   copts.maxAttempts = 20;
   copts.backoffBaseMs = 10;
   copts.backoffCapMs = 100;
-  copts.breakerThreshold = 0;  // retries alone must ride out the restart
   Client client(copts);
 
   constexpr int kClients = 32;
@@ -1774,8 +1685,7 @@ TEST(Router, ValidateOptionsRejectsBrokenConfigs) {
   bad.workers = 0;
   EXPECT_FALSE(dr::service::validateRouterOptions(bad).isOk());
   bad = good;
-  bad.hedgeMinDelayMs = 100;
-  bad.hedgeMaxDelayMs = 10;
+  bad.client.maxAttempts = 0;  // the forward retries need one attempt
   EXPECT_FALSE(dr::service::validateRouterOptions(bad).isOk());
 }
 
@@ -1830,6 +1740,80 @@ TEST(Router, FailsOverWhenThePrimaryShardDies) {
   TcpShard& replica = pref.front() == 0 ? b : a;
   replica.server->requestShutdown();
   replica.server->wait();
+}
+
+TEST(Router, ShedPrimaryFailsOverWithoutASecondAttempt) {
+  const std::string kernel =
+      dr::kernels::motionEstimationSource({32, 32, 4, 4});
+  const std::vector<std::string> socks = {socketPath(), socketPath()};
+  // The router's ring over the same endpoints (default virtual nodes).
+  const std::vector<int> pref =
+      dr::service::ShardRing(socks, dr::service::RouterOptions{}.virtualNodes)
+          .preference(configHashOf(kernel, "Old"));
+  ASSERT_EQ(pref.size(), 2u);
+  const auto owner = static_cast<std::size_t>(pref[0]);
+  const auto replica = static_cast<std::size_t>(pref[1]);
+
+  // The owner runs one worker and a depth-1 queue, both held: every new
+  // connection is shed at accept with a structured Unavailable reply.
+  ServerOptions ownerOpts;
+  ownerOpts.endpoint = socks[owner];
+  ownerOpts.workers = 1;
+  ownerOpts.admission.maxQueueDepth = 1;
+  Server ownerServer(ownerOpts);
+  ASSERT_TRUE(ownerServer.start().isOk());
+  ServerOptions replicaOpts;
+  replicaOpts.endpoint = socks[replica];
+  replicaOpts.workers = 2;
+  Server replicaServer(replicaOpts);
+  ASSERT_TRUE(replicaServer.start().isOk());
+  const int parked = overload::parkWorker(socks[owner], ownerServer);
+  ASSERT_GE(parked, 0);
+  const int queued = connectTo(socks[owner]);
+  ASSERT_GE(queued, 0);
+  for (int i = 0;
+       i < 500 && ownerServer.metricsSnapshot().queueDepthHighWater < 1; ++i)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_EQ(ownerServer.metricsSnapshot().queueDepthHighWater, 1);
+
+  dr::service::RouterOptions ropts;
+  ropts.listen = socketPath();
+  ropts.shards = socks;
+  ropts.hedge = false;
+  ropts.healthIntervalMs = 0;
+  dr::service::Router router(ropts);
+  ASSERT_TRUE(router.start().isOk());
+  ASSERT_EQ(router.ring().preference(configHashOf(kernel, "Old")), pref);
+
+  ClientOptions copts;
+  copts.endpoint = ropts.listen;
+  Client client(copts);
+  proto::ExploreRequest req;
+  req.kernel = kernel;
+  req.signal = "Old";
+  for (int q = 1; q <= 3; ++q) {
+    const i64 shedBefore = ownerServer.metricsSnapshot().shedQueueFull;
+    auto reply = client.explore(req);
+    ASSERT_TRUE(reply.hasValue()) << reply.status().str();
+    ASSERT_EQ(reply->code, StatusCode::Ok) << reply->message;
+    // One shed per query: the forward hands the shed straight back to
+    // the routing walk instead of asking the shedding owner again.
+    EXPECT_EQ(ownerServer.metricsSnapshot().shedQueueFull, shedBefore + 1)
+        << "query " << q;
+    const dr::service::RouterStats stats = router.stats();
+    EXPECT_EQ(stats.failovers, q);
+    EXPECT_EQ(stats.shardForwards[replica], q);
+  }
+  EXPECT_EQ(client.stats().retries, 0);
+
+  ::close(parked);
+  ::close(queued);
+  router.requestShutdown();
+  router.wait();
+  ownerServer.requestShutdown();
+  ownerServer.wait();
+  replicaServer.requestShutdown();
+  replicaServer.wait();
 }
 
 TEST(Router, HedgeWinsAgainstABlackholedPrimary) {
@@ -1974,10 +1958,6 @@ TEST(Router, RevivedShardIsServedWithoutWaitingOutABreaker) {
   // first query ample time to reach the dead owner itself.
   ropts.healthIntervalMs = 300;
   ropts.healthTimeoutMs = 200;
-  // A forward client with this breaker would trip on the dead owner and
-  // then hold the revived owner's next forward for the 3 s cooldown.
-  ropts.client.breakerThreshold = 2;
-  ropts.client.breakerCooldownMs = 3000;
   ropts.client.backoffBaseMs = 1;
   dr::service::Router router(ropts);
   ASSERT_TRUE(router.start().isOk());
@@ -2218,7 +2198,7 @@ TEST(Router, DerivedHedgeDelayFollowsForwardP99) {
   }
 
   // Too few samples for a p99: the ceiling applies.
-  EXPECT_EQ(router.currentHedgeDelayMs(), ropts.hedgeMaxDelayMs);
+  EXPECT_EQ(router.currentHedgeDelayMs(), dr::service::kHedgeMaxDelayMs);
   copts.endpoint = transport::toString(router.boundEndpoint());
   Client client(copts);
   const auto forward = [&] {
@@ -2227,14 +2207,14 @@ TEST(Router, DerivedHedgeDelayFollowsForwardP99) {
     ASSERT_EQ(reply->code, StatusCode::Ok) << reply->message;
   };
   for (int i = 0; i < 19; ++i) forward();
-  EXPECT_EQ(router.currentHedgeDelayMs(), ropts.hedgeMaxDelayMs);
+  EXPECT_EQ(router.currentHedgeDelayMs(), dr::service::kHedgeMaxDelayMs);
 
   // The 20th forward makes the p99 live: warm hits answer in well under
   // the ceiling, and the floor still bounds the delay from below.
   forward();
   const i64 delayMs = router.currentHedgeDelayMs();
-  EXPECT_GE(delayMs, ropts.hedgeMinDelayMs);
-  EXPECT_LT(delayMs, ropts.hedgeMaxDelayMs);
+  EXPECT_GE(delayMs, dr::service::kHedgeMinDelayMs);
+  EXPECT_LT(delayMs, dr::service::kHedgeMaxDelayMs);
 
   router.requestShutdown();
   router.wait();
@@ -2733,15 +2713,10 @@ TEST(KernelMemo, ErrorTextsAreTheSameBeforeAndAfterTheKernelIsMemoized) {
 TEST(KernelMemo, StatsCountersOfAScriptedSequenceArePinned) {
   // One worker serves the concurrent burst in arrival order, so no query
   // joins another's flight and every counter is a function of the script.
-  // Tightening from zero pressure with a far cap counts every request
-  // whose deadline is evaluated, hits included, and degrades none.
   const std::string sock = socketPath();
   ServerOptions opts;
   opts.endpoint = sock;
   opts.workers = 1;
-  opts.admission.tightenStart = 0.0;
-  opts.admission.pressureDeadlineMs = 600000;
-  opts.admission.minDeadlineMs = 590000;
   Server server(opts);
   ASSERT_TRUE(server.start().isOk());
 
@@ -2777,11 +2752,11 @@ TEST(KernelMemo, StatsCountersOfAScriptedSequenceArePinned) {
       continue;
     counters += line + "\n";
   }
-  // Literal taken from the daemon before the kernel memo: one cold
+  // Literal taken from the daemon before the kernel memo, less the
+  // `deadlines_tightened` line of the removed pressure ramp: one cold
   // explore, 8 + 1 explore hits, a cold advise (img from memory, w
   // computed), a report hit, a new capacity over resident curves (two
-  // memory hits) and a NoCache explore; 11 explores and 3 advises had
-  // their deadline evaluated.
+  // memory hits) and a NoCache explore.
   EXPECT_EQ(counters,
             "connections_accepted 15\n"
             "connections_dropped 0\n"
@@ -2797,7 +2772,6 @@ TEST(KernelMemo, StatsCountersOfAScriptedSequenceArePinned) {
             "shed_queue_wait 0\n"
             "overload_replies 0\n"
             "expired_requests 0\n"
-            "deadlines_tightened 14\n"
             "cache_hits 12\n"
             "cache_warm_hits 0\n"
             "cache_misses 2\n"
